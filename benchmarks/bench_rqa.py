@@ -30,9 +30,9 @@ def trajectory(n_samples):
     map_ = build_qrnn_map(QRNNParams(0.550129597))
     half = np.full(4, 0.5, dtype=complex)
     (mf,) = run_trajectory(
-        map_, half, 100, n_samples, [lambda v: activity_mean_field(v, 2)]
+        map_, half, 100, n_samples, [lambda block: activity_mean_field(block, 2)]
     )
-    return np.ascontiguousarray(np.asarray(mf))
+    return np.ascontiguousarray(mf)
 
 
 def best_of(fn, repeats=3):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, load_config, load_preset, preset_names
+from .config import ConfigError, check_coherence, load_config, load_preset, preset_names
 from .experiment import run_experiment, run_sweep
 
 
@@ -19,8 +20,10 @@ def _parse_radius_list(raw):
         raise ConfigError(f"--radius-list: bad number in {raw!r}")
     if not values:
         raise ConfigError("--radius-list: empty list")
-    if any(v < 0 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError("--radius-list: must be nonnegative ascending")
+    if not all(math.isfinite(v) and v >= 0 for v in values) or any(
+        b <= a for a, b in zip(values, values[1:])
+    ):
+        raise ConfigError("--radius-list: must be finite, nonnegative and ascending")
     return values
 
 
@@ -70,12 +73,8 @@ def main(argv=None) -> int:
                 parser.error("run needs exactly one of <config> or --preset")
             cfg = load_preset(args.preset) if args.preset else load_config(args.config)
             if args.radius_list:
-                radii = _parse_radius_list(args.radius_list)
-                cfg = replace(cfg, recurrence_radii=radii)
-                if cfg.recurrence_source not in cfg.observers:
-                    raise ConfigError(
-                        f"--radius-list needs the {cfg.recurrence_source!r} observer"
-                    )
+                cfg = replace(cfg, recurrence_radii=_parse_radius_list(args.radius_list))
+                check_coherence(cfg)
             manifest = run_experiment(cfg, out_dir=args.out)
             print(f"wrote {manifest.directory / 'manifest.txt'}")
             return 0

@@ -14,10 +14,13 @@ from importlib import resources
 
 import numpy as np
 
+from .spectral import MIN_SPECTRUM_SAMPLES
+
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
+    "check_coherence",
     "load_config",
     "load_preset",
     "preset_names",
@@ -167,6 +170,13 @@ def _get_float(parser, section, key, default=None):
         raise ConfigError(f"field {section}.{key}: not a number: {raw!r}") from exc
 
 
+def _check_radius(value, field):
+    # the recurrence layer accepts only finite, nonnegative radii
+    if value is not None and not (math.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"field analyses.{field}: {value!r} is not a finite number >= 0")
+    return value
+
+
 def _get_int(parser, section, key, default=None):
     if not parser.has_option(section, key):
         return default
@@ -275,17 +285,17 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"field analyses.recurrence_radii: bad list {raw!r}") from exc
             if not values:
                 raise ConfigError("field analyses.recurrence_radii: empty list")
-            if any(v < 0 for v in values) or any(
-                b <= a for a, b in zip(values, values[1:])
-            ):
+            for v in values:
+                _check_radius(v, "recurrence_radii")
+            if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError(
-                    "field analyses.recurrence_radii: must be nonnegative ascending"
+                    "field analyses.recurrence_radii: must be strictly ascending"
                 )
             recurrence_radii = values
-        line_gap_radius = _get_float(parser, "analyses", "line_gap_radius")
-        if line_gap_radius is not None and line_gap_radius < 0:
-            raise ConfigError("field analyses.line_gap_radius: must be >= 0")
-        plot_radius = _get_float(parser, "analyses", "plot_radius")
+        line_gap_radius = _check_radius(
+            _get_float(parser, "analyses", "line_gap_radius"), "line_gap_radius"
+        )
+        plot_radius = _check_radius(_get_float(parser, "analyses", "plot_radius"), "plot_radius")
         plot_window = _get_int(parser, "analyses", "plot_window", 500)
         if plot_window < 2:
             raise ConfigError("field analyses.plot_window: must be >= 2")
@@ -316,27 +326,36 @@ def parse_config(text: str) -> ExperimentConfig:
         plot_source=plot_source,
         out_directory=out_directory,
     )
-    _check_coherence(cfg)
+    check_coherence(cfg)
     return cfg
 
 
-def _check_coherence(cfg: ExperimentConfig) -> None:
-    """Every enabled analysis must have its source observer recording."""
+def check_coherence(cfg: ExperimentConfig) -> None:
+    """Every enabled analysis must have its source observer recording and
+    enough samples to run on."""
 
     def need(source, what):
         if source not in cfg.observers:
             raise ConfigError(f"{what} needs the {source!r} observer enabled")
 
+    def at_least(count, what):
+        if cfg.samples < count:
+            raise ConfigError(f"{what} needs samples >= {count}, got {cfg.samples}")
+
     if cfg.correlation:
         need("mean-field", "correlation")
+        at_least(2, "correlation")
     if cfg.stats:
         need("entropy", "entropy statistics")
     if cfg.spectrum:
         need(cfg.spectrum_source, "spectrum")
+        at_least(MIN_SPECTRUM_SAMPLES, "spectrum")
     if cfg.recurrence_radii:
         need(cfg.recurrence_source, "recurrence statistics")
+        at_least(2, "recurrence statistics")
     if cfg.line_gap_radius is not None:
         need(cfg.line_gap_source, "line-gap histogram")
+        at_least(2, "line-gap histogram")
     if cfg.recurrence_plot:
         if cfg.plot_radius is None:
             raise ConfigError("recurrence_plot needs plot_radius")

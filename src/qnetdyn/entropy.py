@@ -96,36 +96,48 @@ def clip_spectrum(evals: np.ndarray, tol: float = CLIP_TOL) -> np.ndarray:
     return np.clip(evals, 0.0, 1.0)
 
 
-def von_neumann_entropy(rho: np.ndarray, *, trace_tol: float = DRIFT_TOL) -> float:
+def von_neumann_entropy(rho: np.ndarray, *, trace_tol: float = DRIFT_TOL):
     """Entropy -sum(lambda log2 lambda) of a density matrix, in bits.
 
     Validates hermiticity and unit trace, diagonalizes, clips boundary
-    rounding noise, and applies the 0 * log2(0) = 0 convention.
+    rounding noise, and applies the 0 * log2(0) = 0 convention.  One
+    ``(d, d)`` matrix gives a float; a stack with leading batch axes
+    gives an array of entropies, and any failing member raises.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if not check_hermitian(rho, CONSTRUCTION_TOL):
         raise ValueError("density matrix is not hermitian within 1e-12")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond {trace_tol}")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > trace_tol
+    if np.any(off):
+        bad = float(np.extract(off, tr)[0])
+        raise ValueError(f"density matrix trace {bad!r} differs from 1 beyond {trace_tol}")
     lam = clip_spectrum(hermitian_eigenvalues(rho))
-    positive = lam[lam > 0.0]
-    return float(-np.sum(positive * np.log2(positive)))
+    # clipped zeros take log2(1) = 0, so they add exactly 0 to the sum
+    h = -np.sum(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=-1)
+    return float(h) if rho.ndim == 2 else h
 
 
 def site_entropies(v: np.ndarray, n: int, l: int = 2) -> np.ndarray:
-    """Entropy of each neuron's reduced state, for one pure state."""
-    return np.array(
-        [von_neumann_entropy(partial_trace_keep_site(v, k, n, l)) for k in range(n)]
+    """Entropy of each neuron's reduced state: shape ``(n,)`` for one pure
+    state, ``(count, n)`` for a ``(count, l**n)`` block of states."""
+    v = np.asarray(v)
+    batch = v.ndim == 2
+    return np.stack(
+        [
+            von_neumann_entropy(partial_trace_keep_site(v, k, n, l, batch=batch))
+            for k in range(n)
+        ],
+        axis=-1,
     )
 
 
 def entropy_observer(n: int, l: int = 2):
-    """Trajectory observer: maps a sampled state to its per-neuron
-    entropy row."""
+    """Trajectory observer: maps a ``(count, l**n)`` block of states to
+    its ``(count, n)`` per-neuron entropy rows."""
 
-    def observe(v: np.ndarray) -> np.ndarray:
-        return site_entropies(v, n, l)
+    def observe(block: np.ndarray) -> np.ndarray:
+        return site_entropies(block, n, l)
 
     return observe
 

@@ -9,6 +9,7 @@ manifest is written last and lists every output with its SHA-256.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -86,27 +87,31 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def sample_times(cfg: ExperimentConfig) -> range:
+    """Map applications behind each recorded sample, in sample order.
+
+    The configured transient counts dropped iterations, and each sample
+    is the state after its own update step, so sample i has undergone
+    ``transient + 1 + i`` applications.
+    """
+    return range(cfg.transient + 1, cfg.transient + 1 + cfg.samples)
+
+
+def _observer(name: str):
+    if name == "mean-field":
+        return functools.partial(activity_mean_field, n=N_NEURONS)
+    if name == "entropy":
+        return entropy_observer(N_NEURONS)
+    return np.copy  # raw-state
+
+
 def _collect(cfg: ExperimentConfig):
     """Run the trajectory once, recording every requested observer."""
     map_ = build_qrnn_map(QRNNParams(cfg.r))
-    observers = []
-    for name in cfg.observers:
-        if name == "mean-field":
-            observers.append(lambda v: activity_mean_field(v, N_NEURONS))
-        elif name == "entropy":
-            observers.append(entropy_observer(N_NEURONS))
-        else:  # raw-state
-            observers.append(lambda v: v.copy())
-    # the configured transient counts dropped iterations; each recorded
-    # sample is the state after its update step, so recording starts one
-    # application past the transient
-    recorded = run_trajectory(
-        map_, cfg.initial_state, cfg.transient + 1, cfg.samples, observers
-    )
-    out = {}
-    for name, series in zip(cfg.observers, recorded):
-        out[name] = np.asarray(series)
-    return out
+    times = sample_times(cfg)
+    observers = [_observer(name) for name in cfg.observers]
+    recorded = run_trajectory(map_, cfg.initial_state, times.start, len(times), observers)
+    return dict(zip(cfg.observers, recorded))
 
 
 def _source_points(cfg, data, source):
@@ -121,7 +126,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     directory = Path(out_dir if out_dir is not None else (cfg.out_directory or "out"))
     directory.mkdir(parents=True, exist_ok=True)
     data = _collect(cfg)
-    times = np.arange(cfg.samples) + cfg.transient + 1
+    times = sample_times(cfg)
     written = []
 
     def emit(name, writer, *args):

@@ -183,34 +183,42 @@ def quantum_average(
     return raw.real
 
 
-def activity_amplitude_sum(v: np.ndarray, k: int, n: int) -> float:
+def activity_amplitude_sum(v: np.ndarray, k: int, n: int):
     """Firing probability of neuron k as a direct amplitude sum: the
-    squared moduli of all components whose label has digit 1 at site k."""
+    squared moduli of all components whose label has digit 1 at site k.
+
+    One state gives a float; a ``(count, 2**n)`` block of states gives
+    one probability per row.
+    """
     if not 0 <= k < n:
         raise ValueError(f"site index {k} outside [0, {n})")
     v = np.asarray(v)
-    if v.shape[0] != 2**n:
-        raise DimensionError(f"state dim {v.shape[0]} != 2**{n}")
+    if v.ndim not in (1, 2) or v.shape[-1] != 2**n:
+        raise DimensionError(f"state shape {v.shape} does not end in 2**{n}")
     probs = v.real**2 + v.imag**2
-    return float(probs.reshape(2**k, 2, 2 ** (n - k - 1))[:, 1, :].sum())
+    fired = probs.reshape(-1, 2**k, 2, 2 ** (n - k - 1))[:, :, 1, :].sum(axis=(1, 2))
+    return float(fired[0]) if v.ndim == 1 else fired
 
 
 def activity_mean_field(v: np.ndarray, n: int, *, verify: bool = False) -> np.ndarray:
-    """All n firing probabilities of a state via the amplitude-sum path.
+    """All n firing probabilities of a state via the amplitude-sum path:
+    shape ``(n,)`` for one state, ``(count, n)`` for a block of states.
 
     With ``verify`` the operator-average path is evaluated too and the
     two must agree within 1e-12; this is a correctness cross-check, not
     an accuracy improvement.
     """
-    point = np.array([activity_amplitude_sum(v, k, n) for k in range(n)])
+    points = np.stack([activity_amplitude_sum(v, k, n) for k in range(n)], axis=-1)
     if verify:
-        for k in range(n):
-            other = quantum_average(neural_activity_operator(k, n), v)
-            if abs(other - point[k]) > 1e-12:
-                raise RuntimeError(
-                    f"activity paths disagree at site {k}: {point[k]!r} vs {other!r}"
-                )
-    return point
+        states = np.asarray(v).reshape(-1, 2**n)
+        for state, point in zip(states, points.reshape(-1, n)):
+            for k in range(n):
+                other = quantum_average(neural_activity_operator(k, n), state)
+                if abs(other - point[k]) > 1e-12:
+                    raise RuntimeError(
+                        f"activity paths disagree at site {k}: {point[k]!r} vs {other!r}"
+                    )
+    return points
 
 
 def mean_field_point(v: np.ndarray, field_ops) -> np.ndarray:

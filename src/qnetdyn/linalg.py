@@ -118,10 +118,12 @@ def check_unitary(u: np.ndarray, tol: float) -> bool:
 
 
 def check_hermitian(m: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
+    """True iff ``max |M - M^dag| <= tol``; with leading batch axes, iff
+    every member passes."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
+    return float(np.max(np.abs(m - np.swapaxes(m, -2, -1).conj()), initial=0.0)) <= tol
 
 
 def validate_density(rho: np.ndarray, *, tol: float = DRIFT_TOL) -> np.ndarray:
@@ -186,22 +188,28 @@ def apply(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u @ v
 
 
-def partial_trace_keep_site(state_or_rho: np.ndarray, k: int, n: int, l: int) -> np.ndarray:
+def partial_trace_keep_site(
+    state_or_rho: np.ndarray, k: int, n: int, l: int, *, batch: bool = False
+) -> np.ndarray:
     """Reduced l x l density of site ``k``, tracing out all other sites.
 
     Accepts either a pure-state vector of dimension ``l**n`` or a density
-    matrix of that dimension.
+    matrix of that dimension.  With ``batch`` the input is a
+    ``(count, l**n)`` block of pure states and the result a
+    ``(count, l, l)`` stack; the flag is needed because a square block of
+    states has the shape of a density matrix.
     """
     if not 0 <= k < n:
         raise ValueError(f"site index {k} outside [0, {n})")
     dim = l**n
     arr = np.asarray(state_or_rho, dtype=np.complex128)
     before, after = l**k, l ** (n - k - 1)
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise DimensionError(f"state dim {arr.shape[0]} != {l}**{n}")
-        m = arr.reshape(before, l, after)
-        return np.einsum("xay,xby->ab", m, m.conj())
+    if batch or arr.ndim == 1:
+        if arr.ndim != (2 if batch else 1) or arr.shape[-1] != dim:
+            raise DimensionError(f"state shape {arr.shape} does not end in {l}**{n}")
+        m = arr.reshape(-1, before, l, after)
+        rho = np.einsum("cxay,cxby->cab", m, m.conj())
+        return rho if batch else rho[0]
     if arr.shape != (dim, dim):
         raise DimensionError(f"density shape {arr.shape} != ({dim}, {dim})")
     r = arr.reshape(before, l, after, before, l, after)
@@ -216,62 +224,79 @@ def hermitian_eigenvalues(
     Cyclic Jacobi rotations, swept until the off-diagonal Frobenius mass
     drops below ``off_tol``.  Intended for the small matrices this package
     works with (dim <= 64); robustness matters more than speed here.
+
+    Leading batch axes are allowed: every member gets the same sweeps
+    until its own off-diagonal mass is below ``off_tol`` and is left
+    untouched after that, so a member's eigenvalues do not depend on
+    the batch it came in.
     """
     a = np.asarray(m, dtype=np.complex128)
     if not check_hermitian(a, herm_tol):
         raise ValueError(f"matrix is not hermitian within {herm_tol}")
-    a = a.copy()
-    dim = a.shape[0]
+    dim = a.shape[-1]
+    batch_shape = a.shape[:-2]
+    a = a.reshape(-1, dim, dim).copy()
     if dim == 1:
-        return np.array([a[0, 0].real])
+        return a[:, 0, 0].real.reshape(batch_shape + (1,))
 
     mask = ~np.eye(dim, dtype=bool)
+    active = np.arange(a.shape[0])
     for _ in range(60):
         # Summed directly over off-diagonal entries; subtracting the diagonal
         # mass from the total cancels catastrophically near convergence.
-        off = math.sqrt(float(np.sum(np.abs(a[mask]) ** 2)))
-        if off < off_tol:
+        off = np.sqrt(np.sum(np.abs(a[active][:, mask]) ** 2, axis=1))
+        active = active[~(off < off_tol)]
+        if active.size == 0:
             break
+        members = a[active]
         for p in range(dim - 1):
             for q in range(p + 1, dim):
-                _jacobi_rotate(a, p, q)
+                _jacobi_rotate(members, p, q)
+        a[active] = members
     else:
         raise RuntimeError("Jacobi sweep limit reached without convergence")
-    return np.sort(np.diag(a).real)
+    evals = np.sort(np.diagonal(a, axis1=1, axis2=2).real, axis=1)
+    return evals.reshape(batch_shape + (dim,))
 
 
 def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
-    """Zero out a[p, q] (and a[q, p]) with a unitary plane rotation, in place."""
-    apq = a[p, q]
-    g = abs(apq)
-    if g == 0.0:
+    """Zero out a[:, p, q] (and a[:, q, p]) of every member of a stack with
+    a unitary plane rotation, in place; members whose pivot is already 0
+    are skipped."""
+    apq = a[:, p, q]
+    # hypot rounds like abs() of one complex number; np.abs of a complex
+    # array may differ from it in the last bit
+    g = np.hypot(apq.real, apq.imag)
+    idx = np.flatnonzero(g != 0.0)
+    if idx.size == 0:
         return
+    g = g[idx]
     # Phase factor folds the complex pivot into a real rotation problem:
     # the zeroing condition becomes tan(2*theta) = 2g / (alpha - beta).
-    u = apq / g
-    alpha = a[p, p].real
-    beta = a[q, q].real
+    u = apq[idx] / g
+    alpha = a[idx, p, p].real
+    beta = a[idx, q, q].real
     phi = (alpha - beta) / (2.0 * g)
-    if abs(phi) > 1e150:
-        # phi*phi would overflow; asymptotically t -> 1/(2*phi).
-        t = 1.0 / (2.0 * phi)
-    elif phi >= 0.0:
-        t = 1.0 / (phi + math.sqrt(1.0 + phi * phi))
-    else:
-        t = -1.0 / (-phi + math.sqrt(1.0 + phi * phi))
-    c = 1.0 / math.sqrt(1.0 + t * t)
+    # phi*phi overflows beyond 1e150; there t -> 1/(2*phi) asymptotically.
+    huge = np.abs(phi) > 1e150
+    tame = np.where(huge, 0.0, phi)
+    root = np.sqrt(1.0 + tame * tame)
+    t = np.where(tame >= 0.0, 1.0, -1.0) / (np.abs(tame) + root)
+    t[huge] = 1.0 / (2.0 * phi[huge])
+    c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
 
-    su = s * u
+    su = (s * u)[:, None]
+    c = c[:, None]
     # Columns: A <- A J with J[p,p]=J[q,q]=c, J[q,p]=s*conj(u), J[p,q]=-s*u.
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + np.conj(su) * col_q
-    a[:, q] = -su * col_p + c * col_q
+    col_p = a[idx, :, p]
+    col_q = a[idx, :, q]
+    a[idx, :, p] = c * col_p + np.conj(su) * col_q
+    a[idx, :, q] = -su * col_p + c * col_q
     # Rows: A <- J^dag A.
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + su * row_q
-    a[q, :] = -np.conj(su) * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
+    row_p = a[idx, p, :]
+    row_q = a[idx, q, :]
+    a[idx, p, :] = c * row_p + su * row_q
+    a[idx, q, :] = -np.conj(su) * row_p + c * row_q
+    a[idx, p, q] = 0.0
+    a[idx, q, p] = 0.0

@@ -30,6 +30,10 @@ from .linalg import (
     tensor_chain,
 )
 
+# Sampled states per observer call: bounds the memory of a trajectory
+# at BLOCK_SIZE states however many samples it records.
+BLOCK_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class NetworkTopology:
@@ -255,14 +259,18 @@ def run_trajectory(
     v0: np.ndarray,
     transient: int,
     samples: int,
-    observers: Sequence[Callable[[np.ndarray], object]],
+    observers: Sequence[Callable[[np.ndarray], np.ndarray]],
 ) -> list:
     """Iterate the map and collect observer outputs along the trajectory.
 
     The first ``transient`` applications are discarded; sample index 0 is
-    the state after `transient` applications.  Each observer is called on
-    every sampled state (observers must not mutate the vector); the
-    return value is one list per observer, in sample order.
+    the state after ``transient`` applications.  Sampled states are
+    recorded in read-only blocks of at most ``BLOCK_SIZE`` consecutive
+    rows, and each observer is called once per block with the
+    ``(count, dim)`` array; it must return one row per state.  With no
+    samples, each observer sees one empty block.  The return value is
+    one array per observer: its per-block outputs concatenated in sample
+    order.
     """
     if transient < 0 or samples < 0:
         raise ValueError("transient and sample counts must be >= 0")
@@ -273,11 +281,19 @@ def run_trajectory(
     for _ in range(transient):
         v = f @ v
     out: list = [[] for _ in observers]
-    for _ in range(samples):
-        drift = abs(norm(v) - 1.0)
-        if drift > DRIFT_TOL:
-            raise RuntimeError(f"norm drifted by {drift:.3e} during trajectory")
+    for start in range(0, max(samples, 1), BLOCK_SIZE):
+        count = min(BLOCK_SIZE, samples - start)
+        block = np.empty((count, v.shape[0]), dtype=np.complex128)
+        for i in range(count):
+            block[i] = v
+            v = f @ v
+        drift = np.abs(np.sqrt(np.sum(block.real**2 + block.imag**2, axis=1)) - 1.0)
+        if np.any(drift > DRIFT_TOL):
+            raise RuntimeError(f"norm drifted by {drift.max():.3e} during trajectory")
+        block.flags.writeable = False
         for slot, observe in zip(out, observers):
-            slot.append(observe(v))
-        v = f @ v
-    return out
+            rows = observe(block)
+            if len(rows) != count:
+                raise ValueError(f"observer returned {len(rows)} rows for {count} states")
+            slot.append(rows)
+    return [np.concatenate(parts) for parts in out]

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Shortest series power_spectrum accepts.
+MIN_SPECTRUM_SAMPLES = 16
+
 __all__ = [
     "Periodogram",
     "power_spectrum",
@@ -61,8 +64,10 @@ def power_spectrum(series) -> Periodogram:
     mean is subtracted first.
     """
     x = np.asarray(series, dtype=np.float64).ravel()
-    if x.size < 16:
-        raise ValueError(f"series too short for a spectrum: {x.size} < 16")
+    if x.size < MIN_SPECTRUM_SAMPLES:
+        raise ValueError(
+            f"series too short for a spectrum: {x.size} < {MIN_SPECTRUM_SAMPLES}"
+        )
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     n_time = x.size

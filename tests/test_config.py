@@ -126,6 +126,46 @@ def test_plot_validation():
         parse_config(base + "plot_radius = 0.1\nplot_window = 50\n")  # > samples
 
 
+ANALYSES = MINIMAL + "\n[analyses]\nobservers = mean-field, entropy\n"
+
+
+@pytest.mark.parametrize(
+    "samples, analyses",
+    [
+        (600, "recurrence_plot = yes\nplot_radius = -1\n"),
+        (10, "line_gap_radius = nan\n"),
+        (10, "recurrence_radii = 0.01, nan\n"),
+        (15, "spectrum = yes\n"),
+        (1, "correlation = yes\n"),
+        (10, "plot_radius = inf\n"),
+        (10, "recurrence_radii = 0.01, inf\n"),
+        (1, "recurrence_radii = 0.01\n"),
+        (1, "line_gap_radius = 0.1\n"),
+    ],
+    ids=[
+        "negative-plot-radius",
+        "nan-line-gap-radius",
+        "nan-in-recurrence-radii",
+        "spectrum-under-16-samples",
+        "correlation-on-one-sample",
+        "infinite-plot-radius",
+        "infinite-recurrence-radius",
+        "recurrence-on-one-sample",
+        "line-gaps-on-one-sample",
+    ],
+)
+def test_rejects_configs_that_would_fail_after_iterating(samples, analyses):
+    text = ANALYSES.replace("samples = 10", f"samples = {samples}") + analyses
+    with pytest.raises(ConfigError):
+        parse_config(text)
+
+
+def test_smallest_accepted_analysis_inputs():
+    assert parse_config(ANALYSES.replace("samples = 10", "samples = 16") + "spectrum = yes\n")
+    two = ANALYSES.replace("samples = 10", "samples = 2")
+    assert parse_config(two + "correlation = yes\nrecurrence_radii = 0\nline_gap_radius = 0\n")
+
+
 def test_radii_must_ascend():
     good = MINIMAL + "\n[analyses]\nobservers = mean-field\nrecurrence_radii = 0, 0.01, 0.1\n"
     assert parse_config(good).recurrence_radii == (0.0, 0.01, 0.1)

@@ -92,6 +92,51 @@ def test_entropy_matches_closed_form_on_random_densities():
         assert abs(von_neumann_entropy(rho) - two_by_two_density_entropy(rho)) < 1e-10
 
 
+def random_density_batch(rng, dim, count):
+    """Densities of every kind the solver branches on: mixed, pure,
+    diagonal (already converged) and maximally mixed (degenerate)."""
+    out = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = g @ g.conj().T
+        elif kind == 1:
+            psi = random_state(rng, dim)
+            rho = np.outer(psi, psi.conj())
+        elif kind == 2:
+            rho = np.diag(rng.uniform(0.1, 1.0, size=dim)).astype(complex)
+        else:
+            rho = np.eye(dim, dtype=complex)
+        out.append(rho / np.trace(rho).real)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_batched_entropy_equals_per_matrix_loop(dim):
+    rng = np.random.default_rng(43 + dim)
+    rhos = random_density_batch(rng, dim, 40)
+    got = von_neumann_entropy(rhos)
+    loop = np.array([von_neumann_entropy(rho) for rho in rhos])
+    assert got.shape == (40,)
+    assert got.tobytes() == loop.tobytes()
+    lam = np.clip(np.linalg.eigvalsh(rhos), 0.0, 1.0)
+    safe = np.where(lam > 0.0, lam, 1.0)
+    oracle = -np.sum(np.where(lam > 0.0, lam * np.log2(safe), 0.0), axis=1)
+    assert np.max(np.abs(got - oracle)) < 1e-12
+
+
+def test_batched_entropy_validation_names_the_failing_member():
+    good = np.diag([0.5, 0.5]).astype(complex)
+    for bad, message in [
+        (np.diag([0.7, 0.7]), "trace 1.4"),
+        (np.array([[0.5, 0.3], [0.1, 0.5]]), "hermitian"),
+        (np.diag([1.2, -0.2]), "eigenvalues"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            von_neumann_entropy(np.array([good, bad, good]))
+
+
 # ---------------------------------------------------------------------------
 # per-state and trajectory entropy
 
@@ -100,6 +145,16 @@ def test_site_entropies_product_and_bell():
     assert np.max(site_entropies(linalg.uniform_state(2, 2), 2)) < 1e-12
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
     assert np.max(np.abs(site_entropies(bell, 2) - 1.0)) < 1e-12
+
+
+def test_site_entropies_of_a_block_equal_per_state_rows():
+    rng = np.random.default_rng(44)
+    for n, l in [(2, 2), (3, 2), (2, 3)]:
+        # a square block (count == dim) must not be read as a density
+        block = np.array([random_state(rng, l**n) for _ in range(l**n)])
+        rows = np.array([site_entropies(v, n, l) for v in block])
+        assert site_entropies(block, n, l).tobytes() == rows.tobytes()
+        assert entropy_observer(n, l)(block).shape == (l**n, n)
 
 
 def test_two_party_entropies_agree_along_trajectory():
@@ -116,8 +171,8 @@ def test_two_party_entropies_agree_along_trajectory():
 def test_global_purity_is_conserved():
     m = build_qrnn_map(QRNNParams(0.31))
 
-    def global_entropy(v):
-        return von_neumann_entropy(np.outer(v, v.conj()))
+    def global_entropy(block):
+        return von_neumann_entropy(np.einsum("ci,cj->cij", block, block.conj()))
 
     (vals,) = run_trajectory(
         m, linalg.uniform_state(2, 2), transient=0, samples=200, observers=[global_entropy]

@@ -208,6 +208,18 @@ def test_cli_radius_list_override(tmp_path):
         "[run]\ntransient = 2\nsamples = 16\n\n[analyses]\nobservers = entropy\n"
     )
     assert main(["run", str(lean), "--out", str(out), "--radius-list", "0.1"]) == 1
+    # a radius the recurrence layer would refuse after iterating
+    fresh = tmp_path / "fresh"
+    assert main(["run", str(cfg_path), "--out", str(fresh), "--radius-list", "0.1,nan"]) == 1
+    # an override the config's sample count cannot support
+    one = tmp_path / "one.cfg"
+    one.write_text(
+        "[network]\nr = 0.5\n\n[initial]\nstate = plus-plus\n\n"
+        "[run]\ntransient = 2\nsamples = 1\n\n[analyses]\nobservers = mean-field\n"
+    )
+    assert main(["run", str(one), "--out", str(tmp_path / "ok")]) == 0
+    assert main(["run", str(one), "--out", str(fresh), "--radius-list", "0.1"]) == 1
+    assert not fresh.exists()
 
 
 def test_cli_sweep(tmp_path):

@@ -166,6 +166,19 @@ def test_amplitude_sum_matches_operator_path():
                 assert abs(activity_amplitude_sum(v, k, n) - slow[k]) < 1e-12
 
 
+def test_mean_field_of_a_block_equals_per_state_rows():
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 3):
+        for count in (0, 1, 2**n, 9):
+            block = np.array([random_state(rng, 2**n) for _ in range(count)]).reshape(count, 2**n)
+            rows = np.array([activity_mean_field(v, n) for v in block]).reshape(count, n)
+            got = activity_mean_field(block, n, verify=True)
+            assert got.shape == (count, n)
+            assert got.tobytes() == rows.tobytes()
+    with pytest.raises(linalg.DimensionError):
+        activity_mean_field(np.zeros((3, 8)), 2)
+
+
 def test_mean_field_examples():
     ops = [neural_activity_operator(k, 2) for k in range(2)]
     assert np.array_equal(mean_field_point(linalg.basis_state((1, 1), 2), ops), [1.0, 1.0])

@@ -236,6 +236,24 @@ def test_partial_trace_density_input_agrees_with_vector_input():
         assert np.max(np.abs(a - b)) < 1e-14
 
 
+def test_partial_trace_of_a_block_equals_per_state_traces():
+    rng = np.random.default_rng(19)
+    for n, l in [(2, 2), (3, 2), (2, 3)]:
+        dim = l**n
+        for count in (0, 1, dim, 7):
+            block = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
+            for k in range(n):
+                got = linalg.partial_trace_keep_site(block, k, n, l, batch=True)
+                assert got.shape == (count, l, l)
+                for rho, psi in zip(got, block):
+                    assert rho.tobytes() == linalg.partial_trace_keep_site(psi, k, n, l).tobytes()
+    with pytest.raises(linalg.DimensionError):
+        linalg.partial_trace_keep_site(np.zeros((3, 8)), 0, 2, 2, batch=True)
+    with pytest.raises(linalg.DimensionError):
+        linalg.partial_trace_keep_site(np.zeros(4), 0, 2, 2, batch=True)
+
+
 def test_partial_trace_rejects_bad_site():
     with pytest.raises(ValueError):
         linalg.partial_trace_keep_site(np.zeros(4), 2, 2, 2)
@@ -289,6 +307,44 @@ def test_eigenvalues_reduced_density_spectrum():
         assert abs(lam.sum() - 1.0) < 1e-12
         assert np.max(np.abs(lam - two_by_two_eigenvalues(rho))) < 1e-13
         assert lam[0] > -1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_batched_eigenvalues_equal_per_matrix_loop(dim):
+    rng = np.random.default_rng(20 + dim)
+    members = []
+    for i in range(60):
+        kind = i % 4
+        if kind == 0:
+            members.append(random_hermitian(rng, dim))
+        elif kind == 1:
+            # already diagonal: converged before the first sweep
+            members.append(np.diag(rng.normal(size=dim)).astype(complex))
+        elif kind == 2:
+            # degenerate: a doubled eigenvalue in a random basis
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            lam = rng.normal(size=dim)
+            lam[: min(2, dim)] = lam[0]
+            members.append(q @ np.diag(lam) @ q.conj().T)
+        else:
+            members.append(2.5 * np.eye(dim, dtype=complex))
+    batch = np.array(members)
+    batch = 0.5 * (batch + batch.conj().transpose(0, 2, 1))
+    got = linalg.hermitian_eigenvalues(batch)
+    loop = np.array([linalg.hermitian_eigenvalues(h) for h in batch])
+    assert got.shape == (60, dim)
+    assert got.tobytes() == loop.tobytes()
+    assert np.max(np.abs(got - np.linalg.eigvalsh(batch))) < 1e-12
+    # any leading batch shape, and the empty batch
+    stacked = linalg.hermitian_eigenvalues(batch.reshape(3, 20, dim, dim))
+    assert stacked.tobytes() == got.tobytes()
+    assert linalg.hermitian_eigenvalues(batch[:0]).shape == (0, dim)
+
+
+def test_batched_eigenvalues_reject_any_non_hermitian_member():
+    batch = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.eye(2)])
+    with pytest.raises(ValueError, match="not hermitian"):
+        linalg.hermitian_eigenvalues(batch)
 
 
 def test_eigenvalues_reject_non_hermitian():

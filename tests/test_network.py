@@ -10,10 +10,12 @@ import pytest
 
 from qnetdyn import linalg
 from qnetdyn.network import (
+    BLOCK_SIZE,
     ActivationOrder,
     ConditionalGateSpec,
     NetworkTopology,
     QRNNParams,
+    UnitaryNeuralMap,
     build_conditional_gate,
     build_qrnn_map,
     compose_neural_map,
@@ -327,10 +329,10 @@ def test_trajectory_sample_alignment():
 def test_trajectory_multiple_observers_and_determinism():
     m = build_qrnn_map(QRNNParams(0.47))
     v0 = linalg.basis_state((1, 0), 2)
-    obs = [lambda v: float(np.abs(v[3]) ** 2), np.copy]
+    obs = [lambda block: np.abs(block[:, 3]) ** 2, np.copy]
     a1, b1 = run_trajectory(m, v0, 7, 13, obs)
     a2, b2 = run_trajectory(m, v0, 7, 13, obs)
-    assert a1 == a2
+    assert np.array_equal(a1, a2)
     assert all(np.array_equal(x, y) for x, y in zip(b1, b2))
     assert len(a1) == 13
 
@@ -339,14 +341,75 @@ def test_trajectory_period_three_series():
     m = build_qrnn_map(QRNNParams(1.0))
     v0 = linalg.as_state(np.array([0.5, 0.5, 0.5, 0.5]))
     (probs,) = run_trajectory(
-        m, v0, 0, 6, observers=[lambda v: tuple(np.round(np.abs(v) ** 2, 12))]
+        m, v0, 0, 6, observers=[lambda block: np.round(np.abs(block) ** 2, 12)]
     )
-    assert probs[0] == probs[3]
-    assert probs[1] == probs[4]
-    assert probs[2] == probs[5]
+    assert np.array_equal(probs[0], probs[3])
+    assert np.array_equal(probs[1], probs[4])
+    assert np.array_equal(probs[2], probs[5])
 
 
 def test_trajectory_rejects_negative_counts():
     m = build_qrnn_map(QRNNParams(0.2))
     with pytest.raises(ValueError):
         run_trajectory(m, linalg.uniform_state(2, 2), -1, 5, [])
+
+
+@pytest.mark.parametrize(
+    "samples", [0, 1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 3]
+)
+def test_trajectory_blocks_match_plain_iteration(samples):
+    m = build_qrnn_map(QRNNParams(0.550129597))
+    v0 = linalg.uniform_state(2, 2)
+    want = np.empty((samples, 4), dtype=np.complex128)
+    v = v0
+    for _ in range(3):
+        v = m.matrix @ v
+    for i in range(samples):
+        want[i] = v
+        v = m.matrix @ v
+    seen = []
+
+    def record(block):
+        seen.append(block.shape[0])
+        return block.copy()
+
+    (states, sq) = run_trajectory(m, v0, 3, samples, [record, lambda b: np.abs(b) ** 2])
+    assert states.shape == (samples, 4)
+    assert states.tobytes() == want.tobytes()
+    assert sq.tobytes() == (np.abs(want) ** 2).tobytes()
+    assert sum(seen) == samples
+    assert max(seen) <= BLOCK_SIZE
+    assert len(seen) == max(1, -(-samples // BLOCK_SIZE))
+
+
+def test_trajectory_blocks_are_read_only_and_row_counts_checked():
+    m = build_qrnn_map(QRNNParams(0.3))
+    v0 = linalg.uniform_state(2, 2)
+
+    def mutate(block):
+        block[0] = 0.0
+        return block
+
+    with pytest.raises(ValueError):
+        run_trajectory(m, v0, 0, 5, [mutate])
+    with pytest.raises(ValueError, match="rows"):
+        run_trajectory(m, v0, 0, 5, [lambda block: block[:-1]])
+
+
+def test_trajectory_raises_on_norm_drift():
+    base = build_qrnn_map(QRNNParams(0.550129597))
+    # the norm grows by 1e-12 per step and crosses the 1e-10 drift bound
+    # after about 100 applications
+    leaky = UnitaryNeuralMap(
+        matrix=(1.0 + 1e-12) * base.matrix, topology=None, order=base.order
+    )
+    v0 = linalg.uniform_state(2, 2)
+    (short,) = run_trajectory(leaky, v0, 0, 50, [np.copy])
+    assert short.shape == (50, 4)
+    blocks = []
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        run_trajectory(leaky, v0, 0, BLOCK_SIZE + 10, [blocks.append])
+    assert blocks == []
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        run_trajectory(leaky, v0, BLOCK_SIZE, 10, [blocks.append])
+    assert blocks == []
