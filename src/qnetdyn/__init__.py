@@ -3,7 +3,8 @@
 The package builds unitary neural maps for n-neuron, l-level networks,
 iterates them as discrete-time dynamical systems, and analyzes the
 resulting trajectories: mean-field observables, reduced-state entropy,
-recurrence quantification, and spectral structure.
+recurrence quantification, and spectral structure.  The names imported
+below are the public API.
 """
 
 from .linalg import (
@@ -11,7 +12,6 @@ from .linalg import (
     DRIFT_TOL,
     MAX_DIMENSION,
     DimensionError,
-    apply,
     as_state,
     basis_state,
     check_hermitian,
@@ -20,14 +20,12 @@ from .linalg import (
     flat_to_digits,
     hermitian_eigenvalues,
     identity,
-    ketbra,
     norm,
     partial_trace_keep_site,
     projector,
     tensor_chain,
     tensor_product,
     uniform_state,
-    validate_density,
 )
 from .network import (
     ActivationOrder,
@@ -44,20 +42,14 @@ from .network import (
     run_trajectory,
 )
 from .fields import (
-    EnergyParams,
     FieldSpec,
     MeanFieldTrajectory,
     activity_amplitude_sum,
     activity_mean_field,
     build_field_operator,
-    firing_hamiltonian,
     heisenberg_evolve,
-    lowering_operator,
-    mean_field_point,
     neural_activity_operator,
     quantum_average,
-    raising_operator,
-    total_hamiltonian,
 )
 from .entropy import (
     CLIP_TOL,
@@ -78,7 +70,6 @@ from .rqa import (
     diagonal_profile,
     diagonal_profiles,
     full_recurrence_line_gaps,
-    pairwise_distance,
     pearson_correlation,
     recurrence_stats,
     render_recurrence_plot,
@@ -106,92 +97,3 @@ from .config import (
 __version__ = "0.1.0"
 
 from .experiment import RunManifest, run_experiment, run_sweep  # noqa: E402
-
-__all__ = [
-    "CLIP_TOL",
-    "CONSTRUCTION_TOL",
-    "DRIFT_TOL",
-    "KERNEL_BACKEND",
-    "MAX_DIMENSION",
-    "ActivationOrder",
-    "ConditionalGateSpec",
-    "ConfigError",
-    "DiagonalProfile",
-    "DimensionError",
-    "EnergyParams",
-    "EntropyStats",
-    "EntropyTrajectory",
-    "ExperimentConfig",
-    "FieldSpec",
-    "LineDistanceHistogram",
-    "MeanFieldTrajectory",
-    "NetworkTopology",
-    "Periodogram",
-    "QRNNParams",
-    "RecurrenceConfig",
-    "RecurrenceStats",
-    "RunManifest",
-    "UnitaryNeuralMap",
-    "activity_amplitude_sum",
-    "activity_mean_field",
-    "apply",
-    "as_state",
-    "basis_state",
-    "build_conditional_gate",
-    "build_field_operator",
-    "build_qrnn_map",
-    "check_hermitian",
-    "check_unitary",
-    "clip_spectrum",
-    "compose_neural_map",
-    "diagonal_profile",
-    "diagonal_profiles",
-    "digits_to_flat",
-    "entropy_observer",
-    "entropy_stats",
-    "firing_hamiltonian",
-    "flat_to_digits",
-    "full_recurrence_line_gaps",
-    "heisenberg_evolve",
-    "hermitian_eigenvalues",
-    "identity",
-    "initial_state_vector",
-    "iterate",
-    "ketbra",
-    "load_config",
-    "load_preset",
-    "loglog_slope",
-    "lowering_operator",
-    "mean_field_point",
-    "neural_activity_operator",
-    "norm",
-    "pairwise_distance",
-    "parse_config",
-    "partial_trace_keep_site",
-    "pearson_correlation",
-    "power_spectrum",
-    "preset_names",
-    "projector",
-    "prominent_peaks",
-    "qrnn_rotation",
-    "qrnn_topology",
-    "quantum_average",
-    "raising_operator",
-    "recurrence_stats",
-    "render_recurrence_plot",
-    "run_experiment",
-    "run_sweep",
-    "run_trajectory",
-    "site_entropies",
-    "tensor_chain",
-    "tensor_product",
-    "total_hamiltonian",
-    "uniform_state",
-    "validate_density",
-    "von_neumann_entropy",
-    "write_line_gap_csv",
-    "write_pgm",
-    "write_recurrence_stats_csv",
-    "write_spectrum_csv",
-    "__version__",
-]

@@ -3,28 +3,20 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, check_coherence, load_config, load_preset, preset_names
+from .config import (
+    ConfigError,
+    check_coherence,
+    load_config,
+    load_preset,
+    parse_radius_list,
+    preset_names,
+)
 from .experiment import run_experiment, run_sweep
-
-
-def _parse_radius_list(raw):
-    try:
-        values = tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"--radius-list: bad number in {raw!r}")
-    if not values:
-        raise ConfigError("--radius-list: empty list")
-    if not all(math.isfinite(v) and v >= 0 for v in values) or any(
-        b <= a for a, b in zip(values, values[1:])
-    ):
-        raise ConfigError("--radius-list: must be finite, nonnegative and ascending")
-    return values
 
 
 def _build_parser():
@@ -72,8 +64,9 @@ def main(argv=None) -> int:
             if (args.config is None) == (args.preset is None):
                 parser.error("run needs exactly one of <config> or --preset")
             cfg = load_preset(args.preset) if args.preset else load_config(args.config)
-            if args.radius_list:
-                cfg = replace(cfg, recurrence_radii=_parse_radius_list(args.radius_list))
+            if args.radius_list is not None:
+                radii = parse_radius_list(args.radius_list, "--radius-list")
+                cfg = replace(cfg, recurrence_radii=radii)
                 check_coherence(cfg)
             manifest = run_experiment(cfg, out_dir=args.out)
             print(f"wrote {manifest.directory / 'manifest.txt'}")
@@ -87,7 +80,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             parser.error("--workers must be >= 1")
         r_values = np.linspace(args.r_from, args.r_to, args.r_steps)
-        radii = _parse_radius_list(args.radius_list)
+        radii = parse_radius_list(args.radius_list, "--radius-list")
         path = run_sweep(cfg, r_values, args.out, workers=args.workers, radii=radii)
         print(f"wrote {path}")
         return 0

@@ -20,6 +20,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
+    "parse_radius_list",
     "check_coherence",
     "load_config",
     "load_preset",
@@ -124,9 +125,9 @@ def initial_state_vector(label: str) -> np.ndarray:
     """Translate an initial-state description into four amplitudes.
 
     Accepted forms: the named state plus-plus, basis:DD with one firing
-    digit per neuron, or amplitudes:a,b,c,d with complex entries.  An
-    explicit amplitude list must already be normalized within 1e-10; it
-    is never rescaled.
+    digit per neuron, or amplitudes:a,b,c,d with finite complex entries.
+    An explicit amplitude list must already be normalized within 1e-10;
+    it is never rescaled.
     """
     label = label.strip()
     if label == "plus-plus":
@@ -147,6 +148,9 @@ def initial_state_vector(label: str) -> np.ndarray:
             v = np.array([complex(p.strip().replace(" ", "")) for p in parts])
         except ValueError as exc:
             raise ConfigError(f"unparseable amplitude in {label!r}") from exc
+        # a nan norm would pass the tolerance test below
+        if not np.all(np.isfinite(v)):
+            raise ConfigError(f"non-finite amplitude in {label!r}")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-10:
             raise ConfigError(f"initial state norm {norm!r} not within 1e-10 of 1")
@@ -170,11 +174,27 @@ def _get_float(parser, section, key, default=None):
         raise ConfigError(f"field {section}.{key}: not a number: {raw!r}") from exc
 
 
-def _check_radius(value, field):
+def _check_radius(value, label):
     # the recurrence layer accepts only finite, nonnegative radii
     if value is not None and not (math.isfinite(value) and value >= 0.0):
-        raise ConfigError(f"field analyses.{field}: {value!r} is not a finite number >= 0")
+        raise ConfigError(f"{label}: {value!r} is not a finite number >= 0")
     return value
+
+
+def parse_radius_list(raw: str, label: str) -> tuple:
+    """Comma-separated radii: nonempty, finite, >= 0 and strictly
+    ascending.  ``label`` names the source in error messages."""
+    try:
+        values = tuple(float(v.strip()) for v in raw.split(",") if v.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{label}: bad list {raw!r}") from exc
+    if not values:
+        raise ConfigError(f"{label}: empty list")
+    for v in values:
+        _check_radius(v, label)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{label}: must be strictly ascending")
+    return values
 
 
 def _get_int(parser, section, key, default=None):
@@ -278,24 +298,15 @@ def parse_config(text: str) -> ExperimentConfig:
         )
         plot_source = _get_choice(parser, "analyses", "plot_source", _SOURCES, "mean-field")
         if parser.has_option("analyses", "recurrence_radii"):
-            raw = parser.get("analyses", "recurrence_radii")
-            try:
-                values = tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-            except ValueError as exc:
-                raise ConfigError(f"field analyses.recurrence_radii: bad list {raw!r}") from exc
-            if not values:
-                raise ConfigError("field analyses.recurrence_radii: empty list")
-            for v in values:
-                _check_radius(v, "recurrence_radii")
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise ConfigError(
-                    "field analyses.recurrence_radii: must be strictly ascending"
-                )
-            recurrence_radii = values
+            recurrence_radii = parse_radius_list(
+                parser.get("analyses", "recurrence_radii"), "field analyses.recurrence_radii"
+            )
         line_gap_radius = _check_radius(
-            _get_float(parser, "analyses", "line_gap_radius"), "line_gap_radius"
+            _get_float(parser, "analyses", "line_gap_radius"), "field analyses.line_gap_radius"
         )
-        plot_radius = _check_radius(_get_float(parser, "analyses", "plot_radius"), "plot_radius")
+        plot_radius = _check_radius(
+            _get_float(parser, "analyses", "plot_radius"), "field analyses.plot_radius"
+        )
         plot_window = _get_int(parser, "analyses", "plot_window", 500)
         if plot_window < 2:
             raise ConfigError("field analyses.plot_window: must be >= 2")

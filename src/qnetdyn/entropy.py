@@ -50,9 +50,6 @@ class EntropyTrajectory:
     def samples(self) -> int:
         return self.series.shape[0]
 
-    def component(self, k: int) -> np.ndarray:
-        return self.series[:, k]
-
     def validate_range(self, tol: float = 1e-9) -> "EntropyTrajectory":
         top = math.log2(self.levels)
         lo = float(self.series.min(initial=0.0))
@@ -96,22 +93,23 @@ def clip_spectrum(evals: np.ndarray, tol: float = CLIP_TOL) -> np.ndarray:
     return np.clip(evals, 0.0, 1.0)
 
 
-def von_neumann_entropy(rho: np.ndarray, *, trace_tol: float = DRIFT_TOL):
+def von_neumann_entropy(rho: np.ndarray):
     """Entropy -sum(lambda log2 lambda) of a density matrix, in bits.
 
-    Validates hermiticity and unit trace, diagonalizes, clips boundary
-    rounding noise, and applies the 0 * log2(0) = 0 convention.  One
-    ``(d, d)`` matrix gives a float; a stack with leading batch axes
-    gives an array of entropies, and any failing member raises.
+    Validates hermiticity and unit trace (within ``DRIFT_TOL``),
+    diagonalizes, clips boundary rounding noise, and applies the
+    0 * log2(0) = 0 convention.  One ``(d, d)`` matrix gives a float; a
+    stack with leading batch axes gives an array of entropies, and any
+    failing member raises.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if not check_hermitian(rho, CONSTRUCTION_TOL):
         raise ValueError("density matrix is not hermitian within 1e-12")
     tr = np.trace(rho, axis1=-2, axis2=-1).real
-    off = np.abs(tr - 1.0) > trace_tol
+    off = np.abs(tr - 1.0) > DRIFT_TOL
     if np.any(off):
         bad = float(np.extract(off, tr)[0])
-        raise ValueError(f"density matrix trace {bad!r} differs from 1 beyond {trace_tol}")
+        raise ValueError(f"density matrix trace {bad!r} differs from 1 beyond {DRIFT_TOL}")
     lam = clip_spectrum(hermitian_eigenvalues(rho))
     # clipped zeros take log2(1) = 0, so they add exactly 0 to the sum
     h = -np.sum(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=-1)
@@ -143,8 +141,16 @@ def entropy_observer(n: int, l: int = 2):
 
 
 def entropy_stats(traj: EntropyTrajectory) -> EntropyStats:
-    """Exact min/max and arithmetic mean per neuron over the window."""
+    """Exact min/max and arithmetic mean per neuron over the window.
+
+    Each statistic is one column's own reduction.  On a constant column
+    the rounded mean can overshoot the column's value by an ulp, so it
+    is clamped to that column's ``[min, max]``.
+    """
     if traj.samples == 0:
         raise ValueError("cannot summarize an empty entropy series")
-    s = traj.series
-    return EntropyStats(minimum=s.min(axis=0), maximum=s.max(axis=0), mean=s.mean(axis=0))
+    cols = [traj.series[:, k] for k in range(traj.n)]
+    lo = np.array([c.min() for c in cols])
+    hi = np.array([c.max() for c in cols])
+    mean = np.clip([c.mean() for c in cols], lo, hi)
+    return EntropyStats(minimum=lo, maximum=hi, mean=mean)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .entropy import EntropyTrajectory, entropy_observer
+from .entropy import EntropyTrajectory, entropy_observer, entropy_stats
 from .fields import MeanFieldTrajectory, activity_mean_field
 from .network import QRNNParams, build_qrnn_map, run_trajectory
 from .rqa import (
@@ -114,6 +114,15 @@ def _collect(cfg: ExperimentConfig):
     return dict(zip(cfg.observers, recorded))
 
 
+def _stats_fields(ent):
+    """Formatted min, max and mean of each neuron's entropy series."""
+    stats = entropy_stats(EntropyTrajectory(ent))
+    return [
+        [_fmt(stats.minimum[k]), _fmt(stats.maximum[k]), _fmt(stats.mean[k])]
+        for k in range(ent.shape[1])
+    ]
+
+
 def _source_points(cfg, data, source):
     if source == "mean-field":
         return MeanFieldTrajectory(data["mean-field"]).validate_activity_bounds().points
@@ -169,11 +178,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
         emit("summary.csv", _write_csv, ["key", "value"], [["correlation", value]])
 
     if cfg.stats:
-        ent = data["entropy"]
-        rows = [
-            [str(k), _fmt(ent[:, k].min()), _fmt(ent[:, k].max()), _fmt(ent[:, k].mean())]
-            for k in range(N_NEURONS)
-        ]
+        rows = [[str(k)] + fields for k, fields in enumerate(_stats_fields(data["entropy"]))]
         emit("entropy_stats.csv", _write_csv, ["neuron", "min", "max", "mean"], rows)
 
     if cfg.recurrence_radii:
@@ -220,11 +225,10 @@ def _sweep_row(args):
         point = cfg.with_r(r)
         data = _collect(point)
         mf = data["mean-field"]
-        ent = data["entropy"]
         corr = pearson_correlation(mf[:, 0], mf[:, 1])
         fields = ["-" if corr is None else _fmt(corr)]
-        for k in range(N_NEURONS):
-            fields += [_fmt(ent[:, k].min()), _fmt(ent[:, k].max()), _fmt(ent[:, k].mean())]
+        for neuron in _stats_fields(data["entropy"]):
+            fields += neuron
         profiles = diagonal_profiles(mf, radii)
         for profile in profiles:
             fields.append(_fmt(recurrence_stats(profile).recurrence_probability))
@@ -243,6 +247,9 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=(0.1,)
     radii = tuple(float(v) for v in radii)
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be a nonempty ascending sequence")
+    labels = [f"recurrence_probability_{radius:g}" for radius in radii]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"radii {radii} give duplicate sweep.csv column labels")
     minimal = ExperimentConfig(
         r=base.r,
         initial_label=base.initial_label,
@@ -262,8 +269,7 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=(0.1,)
     header = ["r", "correlation"]
     for k in range(N_NEURONS):
         header += [f"entropy_min_{k}", f"entropy_max_{k}", f"entropy_mean_{k}"]
-    header += [f"recurrence_probability_{radius:g}" for radius in radii]
-    header += ["error"]
+    header += labels + ["error"]
     path = directory / "sweep.csv"
     _write_csv(path, header, rows)
     return path

@@ -21,7 +21,6 @@ from .linalg import (
     DRIFT_TOL,
     DimensionError,
     check_hermitian,
-    check_unitary,
     identity,
     tensor_chain,
 )
@@ -30,70 +29,24 @@ from .network import UnitaryNeuralMap
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Real level coefficients plus the orthonormal single-site basis
-    whose projectors carry them.  ``basis`` rows are the basis vectors;
-    ``None`` means the computational basis."""
+    """Real level coefficients carried by the computational-basis
+    projectors of one site."""
 
     coeffs: tuple
-    basis: np.ndarray | None = None
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("field coefficients must be finite reals")
         object.__setattr__(self, "coeffs", coeffs)
-        l = len(coeffs)
-        if self.basis is not None:
-            b = np.asarray(self.basis, dtype=np.complex128)
-            if b.shape != (l, l):
-                raise DimensionError(f"basis shape {b.shape} != ({l}, {l})")
-            if not check_unitary(b.conj().T, CONSTRUCTION_TOL):
-                raise ValueError("field basis is not orthonormal within 1e-12")
-            object.__setattr__(self, "basis", b)
 
     @property
     def levels(self) -> int:
         return len(self.coeffs)
 
     def site_operator(self) -> np.ndarray:
-        """The single-site observable sum_s coeffs[s] |b_s><b_s|."""
-        l = self.levels
-        if self.basis is None:
-            return np.diag(np.asarray(self.coeffs, dtype=np.complex128))
-        op = np.zeros((l, l), dtype=np.complex128)
-        for s in range(l):
-            vec = self.basis[s]
-            op += self.coeffs[s] * np.outer(vec, vec.conj())
-        return op
-
-
-@dataclass(frozen=True)
-class EnergyParams:
-    """Angular frequency, action constant, and plain frequency with
-    omega = 2*pi*f."""
-
-    omega: float
-    hbar: float
-    f: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.omega) and math.isfinite(self.hbar) and math.isfinite(self.f)):
-            raise ValueError("energy parameters must be finite")
-        if self.hbar <= 0.0:
-            raise ValueError(f"action constant must be > 0, got {self.hbar}")
-        if abs(self.omega - 2.0 * math.pi * self.f) > 1e-12 * max(1.0, abs(self.omega)):
-            raise ValueError(
-                f"omega {self.omega!r} inconsistent with 2*pi*f = {2.0 * math.pi * self.f!r}"
-            )
-
-    @classmethod
-    def natural(cls) -> "EnergyParams":
-        """omega * hbar = 1, so energy equals the mean activity count."""
-        return cls(omega=1.0, hbar=1.0, f=1.0 / (2.0 * math.pi))
-
-    @classmethod
-    def from_frequency(cls, f: float, hbar: float = 1.0) -> "EnergyParams":
-        return cls(omega=2.0 * math.pi * f, hbar=hbar, f=f)
+        """The single-site observable sum_s coeffs[s] |s><s|."""
+        return np.diag(np.asarray(self.coeffs, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -117,9 +70,6 @@ class MeanFieldTrajectory:
     def samples(self) -> int:
         return self.points.shape[0]
 
-    def component(self, k: int) -> np.ndarray:
-        return self.points[:, k]
-
     def validate_activity_bounds(self, tol: float = DRIFT_TOL) -> "MeanFieldTrajectory":
         """Averages of a {0,1}-spectrum observable must stay in [0, 1]."""
         lo = float(self.points.min(initial=0.0))
@@ -140,16 +90,6 @@ def build_field_operator(spec: FieldSpec, k: int, n: int, l: int | None = None) 
         raise ValueError(f"site index {k} outside [0, {n})")
     factors = [identity(l)] * k + [spec.site_operator()] + [identity(l)] * (n - k - 1)
     return tensor_chain(factors)
-
-
-def lowering_operator() -> np.ndarray:
-    """Two-level lowering operator: |0><1|."""
-    return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-
-
-def raising_operator() -> np.ndarray:
-    """Two-level raising operator: |1><0|."""
-    return np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,30 +140,10 @@ def activity_amplitude_sum(v: np.ndarray, k: int, n: int):
     return float(fired[0]) if v.ndim == 1 else fired
 
 
-def activity_mean_field(v: np.ndarray, n: int, *, verify: bool = False) -> np.ndarray:
+def activity_mean_field(v: np.ndarray, n: int) -> np.ndarray:
     """All n firing probabilities of a state via the amplitude-sum path:
-    shape ``(n,)`` for one state, ``(count, n)`` for a block of states.
-
-    With ``verify`` the operator-average path is evaluated too and the
-    two must agree within 1e-12; this is a correctness cross-check, not
-    an accuracy improvement.
-    """
-    points = np.stack([activity_amplitude_sum(v, k, n) for k in range(n)], axis=-1)
-    if verify:
-        states = np.asarray(v).reshape(-1, 2**n)
-        for state, point in zip(states, points.reshape(-1, n)):
-            for k in range(n):
-                other = quantum_average(neural_activity_operator(k, n), state)
-                if abs(other - point[k]) > 1e-12:
-                    raise RuntimeError(
-                        f"activity paths disagree at site {k}: {point[k]!r} vs {other!r}"
-                    )
-    return points
-
-
-def mean_field_point(v: np.ndarray, field_ops) -> np.ndarray:
-    """Per-site field averages of one state, one observable per site."""
-    return np.array([quantum_average(op, v) for op in field_ops])
+    shape ``(n,)`` for one state, ``(count, n)`` for a block of states."""
+    return np.stack([activity_amplitude_sum(v, k, n) for k in range(n)], axis=-1)
 
 
 def heisenberg_evolve(obs: np.ndarray, map_: UnitaryNeuralMap, t: int) -> np.ndarray:
@@ -241,17 +161,4 @@ def heisenberg_evolve(obs: np.ndarray, map_: UnitaryNeuralMap, t: int) -> np.nda
         out = fdag @ out @ f
     if not check_hermitian(out, DRIFT_TOL):
         raise RuntimeError("conjugated observable drifted off hermitian")
-    return out
-
-
-def firing_hamiltonian(k: int, n: int, params: EnergyParams) -> np.ndarray:
-    """Energy observable of neuron k: omega * hbar times its activity."""
-    return params.omega * params.hbar * neural_activity_operator(k, n)
-
-
-def total_hamiltonian(n: int, params: EnergyParams) -> np.ndarray:
-    """Network energy: the sum of all per-neuron firing Hamiltonians."""
-    out = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for k in range(n):
-        out += firing_hamiltonian(k, n, params)
     return out

@@ -21,6 +21,9 @@ import numpy as np
 CONSTRUCTION_TOL = 1e-12
 DRIFT_TOL = 1e-10
 
+# Jacobi sweeps stop once a matrix's off-diagonal Frobenius mass is below this.
+JACOBI_OFF_TOL = 1e-14
+
 # Dense simulation is exponential in site count; refuse anything above this.
 MAX_DIMENSION = 2**20
 
@@ -97,15 +100,11 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-def ketbra(i: int, j: int, dim: int) -> np.ndarray:
-    """|i><j| on a ``dim``-dimensional site."""
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[i, j] = 1.0
-    return m
-
-
 def projector(i: int, dim: int) -> np.ndarray:
-    return ketbra(i, i, dim)
+    """|i><i| on a ``dim``-dimensional site."""
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    m[i, i] = 1.0
+    return m
 
 
 def check_unitary(u: np.ndarray, tol: float) -> bool:
@@ -124,24 +123,6 @@ def check_hermitian(m: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return float(np.max(np.abs(m - np.swapaxes(m, -2, -1).conj()), initial=0.0)) <= tol
-
-
-def validate_density(rho: np.ndarray, *, tol: float = DRIFT_TOL) -> np.ndarray:
-    """Check hermiticity, unit trace and spectrum of a density matrix.
-
-    Eigenvalues may undershoot zero by rounding noise (down to ``-tol``);
-    anything below that is an invariant violation and raises.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    if not check_hermitian(rho, CONSTRUCTION_TOL):
-        raise ValueError("density matrix is not hermitian within 1e-12")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond {tol}")
-    evals = hermitian_eigenvalues(rho)
-    if evals[0] < -tol:
-        raise ValueError(f"density matrix has eigenvalue {evals[0]!r} < -{tol}")
-    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +158,6 @@ def tensor_chain(factors) -> np.ndarray:
     return out
 
 
-def apply(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product ``U v`` with a dimension check."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {u.shape}")
-    if u.shape[1] != v.shape[0]:
-        raise DimensionError(f"operator dim {u.shape[1]} != vector dim {v.shape[0]}")
-    return u @ v
-
-
 def partial_trace_keep_site(
     state_or_rho: np.ndarray, k: int, n: int, l: int, *, batch: bool = False
 ) -> np.ndarray:
@@ -216,23 +186,22 @@ def partial_trace_keep_site(
     return np.einsum("xayxby->ab", r)
 
 
-def hermitian_eigenvalues(
-    m: np.ndarray, *, herm_tol: float = DRIFT_TOL, off_tol: float = 1e-14
-) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a hermitian matrix, ascending.
 
-    Cyclic Jacobi rotations, swept until the off-diagonal Frobenius mass
-    drops below ``off_tol``.  Intended for the small matrices this package
+    The input must be hermitian within ``DRIFT_TOL``.  Cyclic Jacobi
+    rotations, swept until the off-diagonal Frobenius mass drops below
+    ``JACOBI_OFF_TOL``.  Intended for the small matrices this package
     works with (dim <= 64); robustness matters more than speed here.
 
     Leading batch axes are allowed: every member gets the same sweeps
-    until its own off-diagonal mass is below ``off_tol`` and is left
-    untouched after that, so a member's eigenvalues do not depend on
-    the batch it came in.
+    until its own off-diagonal mass is below ``JACOBI_OFF_TOL`` and is
+    left untouched after that, so a member's eigenvalues do not depend
+    on the batch it came in.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if not check_hermitian(a, herm_tol):
-        raise ValueError(f"matrix is not hermitian within {herm_tol}")
+    if not check_hermitian(a, DRIFT_TOL):
+        raise ValueError(f"matrix is not hermitian within {DRIFT_TOL}")
     dim = a.shape[-1]
     batch_shape = a.shape[:-2]
     a = a.reshape(-1, dim, dim).copy()
@@ -245,7 +214,7 @@ def hermitian_eigenvalues(
         # Summed directly over off-diagonal entries; subtracting the diagonal
         # mass from the total cancels catastrophically near convergence.
         off = np.sqrt(np.sum(np.abs(a[active][:, mask]) ** 2, axis=1))
-        active = active[~(off < off_tol)]
+        active = active[~(off < JACOBI_OFF_TOL)]
         if active.size == 0:
             break
         members = a[active]

@@ -1,37 +1,4 @@
 """Recurrence quantification for trajectories in R^n."""
 
-from .core import (
-    KERNEL_BACKEND,
-    DiagonalProfile,
-    LineDistanceHistogram,
-    RecurrenceConfig,
-    RecurrenceStats,
-    diagonal_profile,
-    diagonal_profiles,
-    full_recurrence_line_gaps,
-    pairwise_distance,
-    pearson_correlation,
-    recurrence_stats,
-    render_recurrence_plot,
-    write_line_gap_csv,
-    write_pgm,
-    write_recurrence_stats_csv,
-)
-
-__all__ = [
-    "KERNEL_BACKEND",
-    "RecurrenceConfig",
-    "DiagonalProfile",
-    "RecurrenceStats",
-    "LineDistanceHistogram",
-    "pairwise_distance",
-    "diagonal_profile",
-    "diagonal_profiles",
-    "recurrence_stats",
-    "full_recurrence_line_gaps",
-    "pearson_correlation",
-    "render_recurrence_plot",
-    "write_pgm",
-    "write_recurrence_stats_csv",
-    "write_line_gap_csv",
-]
+from .core import *  # noqa: F401,F403
+from .core import __all__  # noqa: F401

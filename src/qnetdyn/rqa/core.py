@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..entropy import EntropyTrajectory
-from ..fields import MeanFieldTrajectory
-
 try:  # compiled kernel is optional; the numpy path is always available
     from . import _kernels as _impl
 
@@ -33,7 +30,6 @@ __all__ = [
     "DiagonalProfile",
     "RecurrenceStats",
     "LineDistanceHistogram",
-    "pairwise_distance",
     "diagonal_profile",
     "diagonal_profiles",
     "recurrence_stats",
@@ -159,14 +155,8 @@ class LineDistanceHistogram:
 
 
 def _as_points(traj):
-    """Coerce a trajectory object or array to a C-contiguous (T, dim) float64."""
-    if isinstance(traj, MeanFieldTrajectory):
-        pts = traj.points
-    elif isinstance(traj, EntropyTrajectory):
-        pts = traj.series
-    else:
-        pts = np.asarray(traj, dtype=float)
-    pts = np.asarray(pts, dtype=np.float64)
+    """Coerce a (T,) or (T, dim) array to a C-contiguous (T, dim) float64."""
+    pts = np.asarray(traj, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] < 1:
@@ -176,16 +166,6 @@ def _as_points(traj):
     if not np.all(np.isfinite(pts)):
         raise ValueError("trajectory contains non-finite values")
     return np.ascontiguousarray(pts)
-
-
-def pairwise_distance(x, y):
-    """Euclidean distance between two points of equal dimension."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(np.sqrt(np.dot(diff, diff)))
 
 
 def diagonal_profiles(traj, radii):

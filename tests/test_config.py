@@ -9,6 +9,7 @@ from qnetdyn.config import (
     initial_state_vector,
     load_preset,
     parse_config,
+    parse_radius_list,
     preset_names,
 )
 
@@ -59,6 +60,11 @@ def test_initial_state_forms():
     assert np.allclose(v, [0.6, 0, 0, 0.8j])
     with pytest.raises(ConfigError):
         initial_state_vector("amplitudes: 1, 1, 0, 0")  # not normalized
+    for label in ("amplitudes:nan,0,0,0", "amplitudes:1,0,0,nan", "amplitudes:1,0,0,nanj"):
+        with pytest.raises(ConfigError):
+            initial_state_vector(label)  # a nan norm is not "off by more than 1e-10"
+        with pytest.raises(ConfigError):
+            parse_config(MINIMAL.replace("plus-plus", label))
     with pytest.raises(ConfigError):
         initial_state_vector("amplitudes: 1, 0, 0")
     with pytest.raises(ConfigError):
@@ -169,10 +175,17 @@ def test_smallest_accepted_analysis_inputs():
 def test_radii_must_ascend():
     good = MINIMAL + "\n[analyses]\nobservers = mean-field\nrecurrence_radii = 0, 0.01, 0.1\n"
     assert parse_config(good).recurrence_radii == (0.0, 0.01, 0.1)
+    assert parse_radius_list(" 0,0.01, 0.1 ", "label") == (0.0, 0.01, 0.1)
     with pytest.raises(ConfigError):
         parse_config(good.replace("0, 0.01, 0.1", "0.1, 0.01"))
     with pytest.raises(ConfigError):
         parse_config(good.replace("0, 0.01, 0.1", "-0.1, 0.01"))
+    # the grammar qnetdyn run --radius-list shares (tests/test_experiment.py)
+    for raw in ("", "a", "0.2,0.1", "0.1,0.1", "-1", "nan", "inf"):
+        with pytest.raises(ConfigError, match="^label: "):
+            parse_radius_list(raw, "label")
+        with pytest.raises(ConfigError, match="recurrence_radii"):
+            parse_config(good.replace("0, 0.01, 0.1", raw))
 
 
 def test_duplicate_key_rejected():

@@ -193,11 +193,13 @@ def test_three_site_entropy_bounds():
 
 
 def test_stats_of_constant_series():
-    traj = EntropyTrajectory(np.full((10, 2), 0.5))
-    stats = entropy_stats(traj)
-    assert np.array_equal(stats.minimum, [0.5, 0.5])
-    assert np.array_equal(stats.maximum, [0.5, 0.5])
-    assert np.array_equal(stats.mean, [0.5, 0.5])
+    # a rounded mean of 0.1 or 1/3 overshoots the value by an ulp; the
+    # mean is clamped back to it
+    for value, rows in ((0.5, 10), (0.1, 10), (0.1, 30_000), (1 / 3, 30_000)):
+        stats = entropy_stats(EntropyTrajectory(np.full((rows, 2), value)))
+        assert np.array_equal(stats.minimum, [value, value])
+        assert np.array_equal(stats.maximum, [value, value])
+        assert np.array_equal(stats.mean, [value, value])
 
 
 def test_stats_ordering_on_random_series():
@@ -206,6 +208,8 @@ def test_stats_ordering_on_random_series():
     stats = entropy_stats(traj)
     assert np.all(stats.minimum <= stats.mean)
     assert np.all(stats.mean <= stats.maximum)
+    # each mean is its column's own reduction, bit for bit
+    assert np.array_equal(stats.mean, [traj.series[:, k].mean() for k in range(2)])
 
 
 def test_stats_reject_empty_series():

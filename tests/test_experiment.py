@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qnetdyn.cli import main
-from qnetdyn.config import parse_config
+from qnetdyn.config import ConfigError, parse_config
 from qnetdyn.experiment import run_experiment, run_sweep
 from qnetdyn.network import QRNNParams, build_qrnn_map, iterate
 
@@ -157,6 +157,13 @@ def test_sweep_rows_and_error_capture(tmp_path):
     assert all(r[1] == "-" for r in rows)
 
 
+def test_sweep_rejects_radii_with_equal_column_labels(tmp_path):
+    base = parse_config(FULL.replace("samples = 60", "samples = 40"))
+    with pytest.raises(ValueError, match="duplicate"):
+        run_sweep(base, [0.5], tmp_path / "dup", radii=(0.1, 0.1000001))
+    assert not (tmp_path / "dup").exists()
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     base = parse_config(FULL.replace("samples = 60", "samples = 40"))
     serial = run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "s", workers=1)
@@ -211,6 +218,11 @@ def test_cli_radius_list_override(tmp_path):
     # a radius the recurrence layer would refuse after iterating
     fresh = tmp_path / "fresh"
     assert main(["run", str(cfg_path), "--out", str(fresh), "--radius-list", "0.1,nan"]) == 1
+    # the flag and the config key reject the same lists
+    for raw in ("", "a", "0.2,0.1", "0.1,0.1", "-1", "nan", "inf"):
+        with pytest.raises(ConfigError, match="recurrence_radii"):
+            parse_config(FULL.replace("0, 0.05, 0.2", raw))
+        assert main(["run", str(cfg_path), "--out", str(fresh), f"--radius-list={raw}"]) == 1
     # an override the config's sample count cannot support
     one = tmp_path / "one.cfg"
     one.write_text(
@@ -239,3 +251,8 @@ def test_cli_sweep(tmp_path):
     assert [r[0] for r in rows] == ["0.0", "0.5", "1.0"]
     with pytest.raises(SystemExit):
         main(["sweep", str(cfg_path), "--r-from", "0", "--r-to", "2", "--r-steps", "3"])
+    # the shared radius-list parser, then the sweep's column-label check
+    sweep = ["sweep", str(cfg_path), "--r-from", "0", "--r-to", "1", "--r-steps", "3"]
+    for raw in ("nan", "0.1,0.1000001"):
+        assert main(sweep + ["--out", str(tmp_path / "bad"), f"--radius-list={raw}"]) == 1
+    assert not (tmp_path / "bad").exists()

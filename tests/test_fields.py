@@ -1,4 +1,4 @@
-"""Tests for field observables, activity averages, and energy operators."""
+"""Tests for field observables and activity averages."""
 
 import itertools
 
@@ -7,20 +7,14 @@ import pytest
 
 from qnetdyn import linalg
 from qnetdyn.fields import (
-    EnergyParams,
     FieldSpec,
     MeanFieldTrajectory,
     activity_amplitude_sum,
     activity_mean_field,
     build_field_operator,
-    firing_hamiltonian,
     heisenberg_evolve,
-    lowering_operator,
-    mean_field_point,
     neural_activity_operator,
     quantum_average,
-    raising_operator,
-    total_hamiltonian,
 )
 from qnetdyn.network import QRNNParams, build_qrnn_map, iterate, run_trajectory
 
@@ -28,6 +22,12 @@ from qnetdyn.network import QRNNParams, build_qrnn_map, iterate, run_trajectory
 def random_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def operator_mean_field(v, n):
+    """Per-site activity as the operator average <v|N_k|v>: the oracle for
+    the amplitude-sum path."""
+    return np.array([quantum_average(neural_activity_operator(k, n), v) for k in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -58,24 +58,9 @@ def test_field_operator_eigenvalue_relation():
         assert np.array_equal(op @ v, spec.coeffs[digits[1]] * v)
 
 
-def test_field_operator_rotated_basis():
-    th = 0.4
-    basis = np.array(
-        [[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]], dtype=np.complex128
-    )
-    spec = FieldSpec(coeffs=(2.0, -3.0), basis=basis)
-    op = build_field_operator(spec, 0, 1)
-    assert linalg.check_hermitian(op, 1e-12)
-    for s in (0, 1):
-        resid = op @ basis[s] - spec.coeffs[s] * basis[s]
-        assert np.max(np.abs(resid)) < 1e-12
-
-
 def test_field_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec(coeffs=(0.0, np.inf))
-    with pytest.raises(ValueError):
-        FieldSpec(coeffs=(0.0, 1.0), basis=np.array([[1, 0], [1, 0]], dtype=float))
     with pytest.raises(ValueError):
         build_field_operator(FieldSpec(coeffs=(0.0, 1.0)), 2, 2)
     with pytest.raises(linalg.DimensionError):
@@ -83,7 +68,7 @@ def test_field_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# activity operators and ladder algebra
+# activity operators
 
 
 def test_activity_operator_matrices():
@@ -107,16 +92,6 @@ def test_activity_operators_commute():
             a = neural_activity_operator(j, 3)
             b = neural_activity_operator(k, 3)
             assert np.array_equal(a @ b, b @ a)
-
-
-def test_ladder_anticommutators():
-    a = lowering_operator()
-    adag = raising_operator()
-    assert np.array_equal(a @ adag + adag @ a, np.eye(2))
-    assert np.array_equal(a @ a + a @ a, np.zeros((2, 2)))
-    assert np.array_equal(adag @ adag + adag @ adag, np.zeros((2, 2)))
-    assert np.array_equal(adag @ a, np.diag([0.0, 1.0]))
-    assert np.array_equal(adag.conj().T, a)
 
 
 def test_cached_activity_operator_is_readonly():
@@ -156,11 +131,10 @@ def test_quantum_average_guards():
 def test_amplitude_sum_matches_operator_path():
     rng = np.random.default_rng(31)
     for n in (1, 2, 3):
-        ops = [neural_activity_operator(k, n) for k in range(n)]
         for _ in range(25):
             v = random_state(rng, 2**n)
-            fast = activity_mean_field(v, n, verify=True)
-            slow = mean_field_point(v, ops)
+            fast = activity_mean_field(v, n)
+            slow = operator_mean_field(v, n)
             assert np.max(np.abs(fast - slow)) < 1e-12
             for k in range(n):
                 assert abs(activity_amplitude_sum(v, k, n) - slow[k]) < 1e-12
@@ -172,20 +146,22 @@ def test_mean_field_of_a_block_equals_per_state_rows():
         for count in (0, 1, 2**n, 9):
             block = np.array([random_state(rng, 2**n) for _ in range(count)]).reshape(count, 2**n)
             rows = np.array([activity_mean_field(v, n) for v in block]).reshape(count, n)
-            got = activity_mean_field(block, n, verify=True)
+            got = activity_mean_field(block, n)
             assert got.shape == (count, n)
             assert got.tobytes() == rows.tobytes()
+            for state, row in zip(block, got):
+                assert np.max(np.abs(operator_mean_field(state, n) - row)) < 1e-12
     with pytest.raises(linalg.DimensionError):
         activity_mean_field(np.zeros((3, 8)), 2)
 
 
 def test_mean_field_examples():
-    ops = [neural_activity_operator(k, 2) for k in range(2)]
-    assert np.array_equal(mean_field_point(linalg.basis_state((1, 1), 2), ops), [1.0, 1.0])
-    assert np.allclose(mean_field_point(linalg.uniform_state(2, 2), ops), [0.5, 0.5], atol=1e-15)
-    m = build_qrnn_map(QRNNParams(1.0))
-    stepped = iterate(m, linalg.uniform_state(2, 2), 1)
-    assert np.allclose(mean_field_point(stepped, ops), [0.5, 0.5], atol=1e-12)
+    for mean_field in (activity_mean_field, operator_mean_field):
+        assert np.array_equal(mean_field(linalg.basis_state((1, 1), 2), 2), [1.0, 1.0])
+        assert np.allclose(mean_field(linalg.uniform_state(2, 2), 2), [0.5, 0.5], atol=1e-15)
+        m = build_qrnn_map(QRNNParams(1.0))
+        stepped = iterate(m, linalg.uniform_state(2, 2), 1)
+        assert np.allclose(mean_field(stepped, 2), [0.5, 0.5], atol=1e-12)
 
 
 def test_trajectory_activity_stays_bounded():
@@ -240,36 +216,3 @@ def test_picture_equivalence():
                 moved = quantum_average(heisenberg_evolve(nk, m, t), v0, herm_tol=1e-10)
                 stayed = quantum_average(nk, vt)
                 assert abs(moved - stayed) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# energy
-
-
-def test_energy_params_validation():
-    EnergyParams.natural()
-    EnergyParams.from_frequency(10.0)
-    with pytest.raises(ValueError):
-        EnergyParams(omega=1.0, hbar=1.0, f=1.0)
-    with pytest.raises(ValueError):
-        EnergyParams(omega=1.0, hbar=0.0, f=1.0 / (2 * np.pi))
-
-
-def test_hamiltonian_eigenvalues():
-    natural = EnergyParams.natural()
-    h = total_hamiltonian(2, natural)
-    assert quantum_average(h, linalg.basis_state((1, 1), 2)) == 2.0
-    assert quantum_average(h, linalg.basis_state((0, 0), 2)) == 0.0
-    assert np.array_equal(np.diag(h).real, [0.0, 1.0, 1.0, 2.0])
-
-    fast = EnergyParams.from_frequency(10.0)
-    hk = firing_hamiltonian(0, 2, fast)
-    got = quantum_average(hk, linalg.basis_state((1, 0), 2), herm_tol=1e-9)
-    assert abs(got - 20.0 * np.pi) < 1e-12
-
-
-def test_total_is_sum_of_parts():
-    params = EnergyParams.from_frequency(3.5, hbar=2.0)
-    total = total_hamiltonian(3, params)
-    parts = sum(firing_hamiltonian(k, 3, params) for k in range(3))
-    assert np.array_equal(total, parts)

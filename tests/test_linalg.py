@@ -135,19 +135,8 @@ def test_check_hermitian():
     assert not linalg.check_hermitian(1j * h)
 
 
-def test_validate_density():
-    rho = np.diag([0.5, 0.5]).astype(np.complex128)
-    linalg.validate_density(rho)
-    with pytest.raises(ValueError):
-        linalg.validate_density(np.diag([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        linalg.validate_density(np.diag([1.5, -0.5]))
-    with pytest.raises(ValueError):
-        linalg.validate_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
-
-
 # ---------------------------------------------------------------------------
-# tensor products and application
+# tensor products
 
 
 def test_tensor_product_entry_formula():
@@ -163,10 +152,10 @@ def test_tensor_product_entry_formula():
 def test_tensor_ordering_site0_most_significant():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     op = linalg.tensor_product(sx, linalg.identity(2))
-    flipped = linalg.apply(op, linalg.basis_state((0, 0), 2))
+    flipped = op @ linalg.basis_state((0, 0), 2)
     assert np.allclose(flipped, linalg.basis_state((1, 0), 2))
     op2 = linalg.tensor_product(linalg.identity(2), sx)
-    flipped2 = linalg.apply(op2, linalg.basis_state((0, 0), 2))
+    flipped2 = op2 @ linalg.basis_state((0, 0), 2)
     assert np.allclose(flipped2, linalg.basis_state((0, 1), 2))
 
 
@@ -185,13 +174,6 @@ def test_dimension_cap():
     b = linalg.identity(2**11)
     with pytest.raises(linalg.DimensionError):
         linalg.tensor_product(a, b)
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(linalg.DimensionError):
-        linalg.apply(np.eye(2), np.zeros(3))
-    with pytest.raises(linalg.DimensionError):
-        linalg.apply(np.zeros((2, 3)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from qnetdyn.entropy import EntropyTrajectory
-from qnetdyn.fields import MeanFieldTrajectory
 from qnetdyn.rqa import (
     KERNEL_BACKEND,
     DiagonalProfile,
@@ -21,7 +19,6 @@ from qnetdyn.rqa import (
     diagonal_profile,
     diagonal_profiles,
     full_recurrence_line_gaps,
-    pairwise_distance,
     pearson_correlation,
     recurrence_stats,
     render_recurrence_plot,
@@ -45,14 +42,6 @@ def brute_counts(pts, radius):
         acc = acc + diff * diff
     rec = np.sqrt(acc) <= radius
     return np.array([int(rec.diagonal(-d).sum()) for d in range(1, n)], dtype=np.int64)
-
-
-def test_pairwise_distance_examples():
-    assert pairwise_distance([0.0, 0.0], [0.0, 0.0]) == 0.0
-    assert pairwise_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-    assert abs(pairwise_distance([0.2, 0.9], [0.5, 0.5]) - 0.5) < 1e-15
-    with pytest.raises(ValueError):
-        pairwise_distance([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_config_validation():
@@ -216,14 +205,6 @@ def test_line_gap_histogram_too_few_lines():
         LineDistanceHistogram(4, {3: 1})  # 3 lines need exactly 2 gaps
     with pytest.raises(ValueError):
         LineDistanceHistogram(3, {0: 2})
-
-
-def test_trajectory_objects_accepted():
-    rng = np.random.default_rng(4)
-    pts = rng.random((30, 2))
-    expected = diagonal_profile(pts, 0.3).counts
-    assert np.array_equal(diagonal_profile(MeanFieldTrajectory(pts), 0.3).counts, expected)
-    assert np.array_equal(diagonal_profile(EntropyTrajectory(pts), 0.3).counts, expected)
 
 
 def test_pearson_examples():
