@@ -73,16 +73,12 @@ from .rqa import (
     pearson_correlation,
     recurrence_stats,
     render_recurrence_plot,
-    write_line_gap_csv,
-    write_pgm,
-    write_recurrence_stats_csv,
 )
 from .spectral import (
     Periodogram,
     loglog_slope,
     power_spectrum,
     prominent_peaks,
-    write_spectrum_csv,
 )
 from .config import (
     ConfigError,

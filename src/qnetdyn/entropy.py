@@ -28,6 +28,9 @@ from .linalg import (
 # violation and raises.
 CLIP_TOL = 1e-10
 
+# Entropies this far outside [0, log2(levels)] fail validate_range.
+RANGE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class EntropyTrajectory:
@@ -50,11 +53,11 @@ class EntropyTrajectory:
     def samples(self) -> int:
         return self.series.shape[0]
 
-    def validate_range(self, tol: float = 1e-9) -> "EntropyTrajectory":
+    def validate_range(self) -> "EntropyTrajectory":
         top = math.log2(self.levels)
         lo = float(self.series.min(initial=0.0))
         hi = float(self.series.max(initial=0.0))
-        if lo < -tol or hi > top + tol:
+        if lo < -RANGE_TOL or hi > top + RANGE_TOL:
             raise ValueError(
                 f"entropy values outside [0, log2({self.levels})]: range [{lo!r}, {hi!r}]"
             )
@@ -78,16 +81,16 @@ class EntropyStats:
             raise ValueError("per-neuron statistics must satisfy min <= mean <= max")
 
 
-def clip_spectrum(evals: np.ndarray, tol: float = CLIP_TOL) -> np.ndarray:
+def clip_spectrum(evals: np.ndarray) -> np.ndarray:
     """Clamp rounding noise at the [0, 1] boundaries of a density spectrum.
 
-    Values in [-tol, 0) become 0, values in (1, 1+tol] become 1; values
-    further out raise.
+    Values in [-CLIP_TOL, 0) become 0, values in (1, 1+CLIP_TOL] become 1;
+    values further out raise.
     """
     evals = np.asarray(evals, dtype=np.float64)
-    if evals.size and (evals.min() < -tol or evals.max() > 1.0 + tol):
+    if evals.size and (evals.min() < -CLIP_TOL or evals.max() > 1.0 + CLIP_TOL):
         raise ValueError(
-            f"density eigenvalues outside [-{tol}, 1+{tol}]: "
+            f"density eigenvalues outside [-{CLIP_TOL}, 1+{CLIP_TOL}]: "
             f"[{evals.min()!r}, {evals.max()!r}]"
         )
     return np.clip(evals, 0.0, 1.0)

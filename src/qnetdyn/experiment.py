@@ -1,9 +1,14 @@
 """Configuration-driven runner: model to trajectory to analyses to files.
 
-One experiment is a single deterministic pipeline.  All numeric output
-uses repr() formatting (shortest round-trip decimals) and LF line
-endings, so identical configs produce byte-identical data files.  The
-manifest is written last and lists every output with its SHA-256.
+This module alone owns the output formats: the analysis modules return
+values and the writers below turn them into bytes.  A run has two
+phases.  The trajectory and every analysis run first, and the output
+directory is created only when all of them have succeeded, so a failed
+run leaves no directory behind.  All numeric output uses repr()
+formatting (shortest round-trip decimals) and LF line endings, so
+identical configs produce byte-identical data files on the same
+machine.  Each file is written in one call and hashed from its bytes;
+the manifest is written last and lists every output with its SHA-256.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -30,11 +36,8 @@ from .rqa import (
     pearson_correlation,
     recurrence_stats,
     render_recurrence_plot,
-    write_line_gap_csv,
-    write_pgm,
-    write_recurrence_stats_csv,
 )
-from .spectral import power_spectrum, write_spectrum_csv
+from .spectral import power_spectrum
 
 __all__ = ["RunManifest", "run_experiment", "run_sweep"]
 
@@ -76,15 +79,78 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(x) -> str:
-    return repr(float(x))
+    """The number format: shortest round-trip repr, '-' for an absent value."""
+    return "-" if x is None else repr(float(x))
+
+
+def _fmt_column(column):
+    """_fmt of every value of a float array, without a call per value."""
+    return map(repr, column.tolist())
+
+
+def _write_bytes(path, data: bytes) -> str:
+    """Write ``data`` in one call; return the SHA-256 of those bytes."""
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_csv(path, header, rows) -> str:
+    """Write a header and rows of formatted fields; return the SHA-256."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return _write_bytes(path, buf.getvalue().encode())
+
+
+def write_recurrence_stats_csv(path, rows) -> str:
+    """Write (radius, RecurrenceStats) rows; absent statistics print as '-'."""
+    header = [
+        "radius",
+        "recurrence_probability",
+        "mean_recurrence_strength",
+        "conditional_full_recurrence_probability",
+    ]
+    body = (
+        [_fmt(radius)] + [_fmt(getattr(stats, name)) for name in header[1:]]
+        for radius, stats in rows
+    )
+    return _write_csv(path, header, body)
+
+
+def write_line_gap_csv(path, histogram) -> str:
+    """Write a gap histogram with distance, frequency and percentage columns."""
+    percentages = histogram.percentages()
+    rows = (
+        [str(gap), str(count), _fmt(percentages[gap])]
+        for gap, count in histogram.frequencies.items()
+    )
+    return _write_csv(path, ["distance", "frequency", "percent"], rows)
+
+
+def write_spectrum_csv(path, periodograms) -> str:
+    """Write per-neuron spectra sharing one frequency grid as CSV columns."""
+    periodograms = list(periodograms)
+    if not periodograms:
+        raise ValueError("need at least one periodogram")
+    base = periodograms[0].frequencies
+    for p in periodograms[1:]:
+        if not np.array_equal(p.frequencies, base):
+            raise ValueError("periodograms use different frequency grids")
+    header = ["frequency"] + [f"power_neuron{k}" for k in range(len(periodograms))]
+    columns = [base] + [p.power for p in periodograms]
+    return _write_csv(path, header, zip(*map(_fmt_column, columns)))
+
+
+def write_pgm(path, image) -> str:
+    """Write an 8-bit grayscale image as a binary portable graymap."""
+    image = np.asarray(image)
+    if image.ndim != 2 or image.dtype != np.uint8:
+        raise ValueError("image must be a 2-D uint8 array")
+    height, width = image.shape
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    return _write_bytes(path, header + image.tobytes())
 
 
 def sample_times(cfg: ExperimentConfig) -> range:
@@ -123,89 +189,88 @@ def _stats_fields(ent):
     ]
 
 
-def _source_points(cfg, data, source):
+def _source_points(data, source):
     if source == "mean-field":
         return MeanFieldTrajectory(data["mean-field"]).validate_activity_bounds().points
     return EntropyTrajectory(data["entropy"]).validate_range().series
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
-    """Execute one configured run and write all requested outputs."""
-    t0 = time.perf_counter()
-    directory = Path(out_dir if out_dir is not None else (cfg.out_directory or "out"))
-    directory.mkdir(parents=True, exist_ok=True)
+def _analyses(cfg: ExperimentConfig):
+    """Run the trajectory and every requested analysis.
+
+    Returns one ``(file name, writer, *writer arguments)`` tuple per
+    output; the writers only format and write.
+    """
     data = _collect(cfg)
     times = sample_times(cfg)
-    written = []
-
-    def emit(name, writer, *args):
-        try:
-            writer(directory / name, *args)
-        except Exception as exc:
-            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
-        written.append(name)
-
     header = ["t"]
-    columns = [times]
-    if "mean-field" in data:
-        header += [f"activity_{k}" for k in range(N_NEURONS)]
-        columns += [data["mean-field"][:, k] for k in range(N_NEURONS)]
-    if "entropy" in data:
-        header += [f"entropy_{k}" for k in range(N_NEURONS)]
-        columns += [data["entropy"][:, k] for k in range(N_NEURONS)]
-    rows = (
-        [str(int(cols[0]))] + [_fmt(c) for c in cols[1:]]
-        for cols in zip(*columns)
-    )
-    emit("series.csv", _write_csv, header, rows)
+    columns = [map(str, times)]
+    for observer, label in (("mean-field", "activity"), ("entropy", "entropy")):
+        if observer in data:
+            header += [f"{label}_{k}" for k in range(N_NEURONS)]
+            columns += [_fmt_column(data[observer][:, k]) for k in range(N_NEURONS)]
+    outputs = [("series.csv", _write_csv, header, zip(*columns))]
 
     if "raw-state" in data:
         states = data["raw-state"]
         header = ["t"]
+        columns = [map(str, times)]
         for k in range(states.shape[1]):
             header += [f"re_{k}", f"im_{k}"]
-        rows = (
-            [str(int(t))]
-            + [part for a in row for part in (_fmt(a.real), _fmt(a.imag))]
-            for t, row in zip(times, states)
-        )
-        emit("state.csv", _write_csv, header, rows)
+            columns += [_fmt_column(states[:, k].real), _fmt_column(states[:, k].imag)]
+        outputs.append(("state.csv", _write_csv, header, zip(*columns)))
 
     if cfg.correlation:
         mf = data["mean-field"]
         corr = pearson_correlation(mf[:, 0], mf[:, 1])
-        value = "-" if corr is None else _fmt(corr)
-        emit("summary.csv", _write_csv, ["key", "value"], [["correlation", value]])
+        outputs.append(
+            ("summary.csv", _write_csv, ["key", "value"], [["correlation", _fmt(corr)]])
+        )
 
     if cfg.stats:
+        header = ["neuron", "min", "max", "mean"]
         rows = [[str(k)] + fields for k, fields in enumerate(_stats_fields(data["entropy"]))]
-        emit("entropy_stats.csv", _write_csv, ["neuron", "min", "max", "mean"], rows)
+        outputs.append(("entropy_stats.csv", _write_csv, header, rows))
 
     if cfg.recurrence_radii:
-        pts = _source_points(cfg, data, cfg.recurrence_source)
+        pts = _source_points(data, cfg.recurrence_source)
         profiles = diagonal_profiles(pts, cfg.recurrence_radii)
         stats_rows = [
             (radius, recurrence_stats(profile))
             for radius, profile in zip(cfg.recurrence_radii, profiles)
         ]
-        emit("recurrence_stats.csv", write_recurrence_stats_csv, stats_rows)
+        outputs.append(("recurrence_stats.csv", write_recurrence_stats_csv, stats_rows))
 
     if cfg.line_gap_radius is not None:
-        pts = _source_points(cfg, data, cfg.line_gap_source)
+        pts = _source_points(data, cfg.line_gap_source)
         profile = diagonal_profile(pts, cfg.line_gap_radius)
-        emit("line_gaps.csv", write_line_gap_csv, full_recurrence_line_gaps(profile))
+        gaps = full_recurrence_line_gaps(profile)
+        outputs.append(("line_gaps.csv", write_line_gap_csv, gaps))
 
     if cfg.spectrum:
-        pts = _source_points(cfg, data, cfg.spectrum_source)
+        pts = _source_points(data, cfg.spectrum_source)
         spectra = [power_spectrum(pts[:, k]) for k in range(N_NEURONS)]
-        emit("spectrum.csv", write_spectrum_csv, spectra)
+        outputs.append(("spectrum.csv", write_spectrum_csv, spectra))
 
     if cfg.recurrence_plot:
-        pts = _source_points(cfg, data, cfg.plot_source)
+        pts = _source_points(data, cfg.plot_source)
         image = render_recurrence_plot(pts, cfg.plot_radius, 0, cfg.plot_window)
-        emit("recurrence_plot.pgm", write_pgm, image)
+        outputs.append(("recurrence_plot.pgm", write_pgm, image))
+    return outputs
 
-    checksums = {name: _sha256(directory / name) for name in written}
+
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
+    """Execute one configured run; write its outputs once every analysis succeeded."""
+    t0 = time.perf_counter()
+    outputs = _analyses(cfg)
+    directory = Path(out_dir if out_dir is not None else (cfg.out_directory or "out"))
+    directory.mkdir(parents=True, exist_ok=True)
+    checksums = {}
+    for name, writer, *args in outputs:
+        try:
+            checksums[name] = writer(directory / name, *args)
+        except Exception as exc:
+            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
     manifest = RunManifest(
         version=__version__,
         duration_seconds=time.perf_counter() - t0,
@@ -226,7 +291,7 @@ def _sweep_row(args):
         data = _collect(point)
         mf = data["mean-field"]
         corr = pearson_correlation(mf[:, 0], mf[:, 1])
-        fields = ["-" if corr is None else _fmt(corr)]
+        fields = [_fmt(corr)]
         for neuron in _stats_fields(data["entropy"]):
             fields += neuron
         profiles = diagonal_profiles(mf, radii)

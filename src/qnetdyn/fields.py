@@ -70,11 +70,11 @@ class MeanFieldTrajectory:
     def samples(self) -> int:
         return self.points.shape[0]
 
-    def validate_activity_bounds(self, tol: float = DRIFT_TOL) -> "MeanFieldTrajectory":
+    def validate_activity_bounds(self) -> "MeanFieldTrajectory":
         """Averages of a {0,1}-spectrum observable must stay in [0, 1]."""
         lo = float(self.points.min(initial=0.0))
         hi = float(self.points.max(initial=1.0))
-        if lo < -tol or hi > 1.0 + tol:
+        if lo < -DRIFT_TOL or hi > 1.0 + DRIFT_TOL:
             raise ValueError(f"activity averages outside [0, 1]: range [{lo!r}, {hi!r}]")
         return self
 

@@ -62,18 +62,18 @@ def flat_to_digits(flat: int, n: int, l: int) -> tuple:
 # constructors and validators
 
 
-def as_state(amps, *, tol: float = DRIFT_TOL) -> np.ndarray:
+def as_state(amps) -> np.ndarray:
     """Validate and return a normalized complex state vector.
 
     Raises ``ValueError`` on non-finite entries or a norm off 1 by more
-    than ``tol``.  The input is copied, never renormalized.
+    than ``DRIFT_TOL``.  The input is copied, never renormalized.
     """
     v = np.array(amps, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(v.view(np.float64))):
         raise ValueError("state vector contains non-finite amplitudes")
     nrm = norm(v)
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"state vector norm {nrm!r} differs from 1 beyond {tol}")
+    if abs(nrm - 1.0) > DRIFT_TOL:
+        raise ValueError(f"state vector norm {nrm!r} differs from 1 beyond {DRIFT_TOL}")
     return v
 
 

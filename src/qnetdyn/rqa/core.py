@@ -9,7 +9,6 @@ streaming pass; the T x T recurrence matrix is never materialized.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -36,9 +35,6 @@ __all__ = [
     "full_recurrence_line_gaps",
     "pearson_correlation",
     "render_recurrence_plot",
-    "write_pgm",
-    "write_recurrence_stats_csv",
-    "write_line_gap_csv",
 ]
 
 
@@ -270,52 +266,3 @@ def render_recurrence_plot(traj, cfg, start, stop, chunk=512):
         black = np.sqrt(acc) <= cfg.radius
         image[row0 : row0 + rows.shape[0]] = np.where(black, 0, 255)
     return image
-
-
-def write_pgm(path, image):
-    """Write an 8-bit grayscale image as a binary portable graymap."""
-    image = np.asarray(image)
-    if image.ndim != 2 or image.dtype != np.uint8:
-        raise ValueError("image must be a 2-D uint8 array")
-    height, width = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(image).tobytes())
-
-
-def _format_value(value):
-    # repr of a Python float is the shortest round-trip decimal
-    return "-" if value is None else repr(float(value))
-
-
-def write_recurrence_stats_csv(path, rows):
-    """Write (radius, RecurrenceStats) rows; absent statistics print as '-'."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "radius",
-                "recurrence_probability",
-                "mean_recurrence_strength",
-                "conditional_full_recurrence_probability",
-            ]
-        )
-        for radius, stats in rows:
-            writer.writerow(
-                [
-                    _format_value(radius),
-                    _format_value(stats.recurrence_probability),
-                    _format_value(stats.mean_recurrence_strength),
-                    _format_value(stats.conditional_full_recurrence_probability),
-                ]
-            )
-
-
-def write_line_gap_csv(path, histogram):
-    """Write a gap histogram with distance, frequency and percentage columns."""
-    percentages = histogram.percentages()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["distance", "frequency", "percent"])
-        for gap, count in histogram.frequencies.items():
-            writer.writerow([str(gap), str(count), repr(percentages[gap])])

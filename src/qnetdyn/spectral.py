@@ -7,7 +7,6 @@ stay sharp instead of being smeared across neighboring bins.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "power_spectrum",
     "loglog_slope",
     "prominent_peaks",
-    "write_spectrum_csv",
 ]
 
 
@@ -109,23 +107,3 @@ def prominent_peaks(p: Periodogram, factor: float = 10.0) -> np.ndarray:
     inner = power[1:-1]
     hits = (inner > power[:-2]) & (inner > power[2:]) & (inner > threshold)
     return np.flatnonzero(hits) + 1
-
-
-def write_spectrum_csv(path, periodograms) -> None:
-    """Write per-neuron spectra sharing one frequency grid as CSV columns."""
-    periodograms = list(periodograms)
-    if not periodograms:
-        raise ValueError("need at least one periodogram")
-    base = periodograms[0].frequencies
-    for p in periodograms[1:]:
-        if not np.array_equal(p.frequencies, base):
-            raise ValueError("periodograms use different frequency grids")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["frequency"] + [f"power_neuron{k}" for k in range(len(periodograms))]
-        )
-        for i in range(base.size):
-            row = [repr(float(base[i]))]
-            row += [repr(float(p.power[i])) for p in periodograms]
-            writer.writerow(row)

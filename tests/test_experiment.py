@@ -1,12 +1,25 @@
 """Experiment runner and CLI tests on small deterministic runs."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+from qnetdyn import experiment
 from qnetdyn.cli import main
 from qnetdyn.config import ConfigError, parse_config
-from qnetdyn.experiment import run_experiment, run_sweep
+from qnetdyn.experiment import (
+    run_experiment,
+    run_sweep,
+    write_line_gap_csv,
+    write_pgm,
+    write_recurrence_stats_csv,
+    write_spectrum_csv,
+)
 from qnetdyn.network import QRNNParams, build_qrnn_map, iterate
+from qnetdyn.rqa import LineDistanceHistogram, RecurrenceStats
+from qnetdyn.spectral import power_spectrum
 
 FULL = """
 [network]
@@ -128,6 +141,93 @@ def test_manifest_verify_detects_tamper(tmp_path):
     target.unlink()
     with pytest.raises(FileNotFoundError):
         manifest.verify()
+
+
+def test_failed_run_creates_no_directory(tmp_path, monkeypatch):
+    cfg = parse_config(FULL)
+    # a nan amplitude that bypasses parse_config fails in the trajectory
+    amplitudes = cfg.initial_state.copy()
+    amplitudes[0] = np.nan
+    nan_start = dataclasses.replace(cfg, initial_state=amplitudes)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_experiment(nan_start, out_dir=tmp_path / "nan")
+    assert not (tmp_path / "nan").exists()
+
+    # an analysis that fails after the trajectory has been iterated
+    def broken_spectrum(series):
+        raise RuntimeError("spectrum unavailable")
+
+    monkeypatch.setattr(experiment, "power_spectrum", broken_spectrum)
+    with pytest.raises(RuntimeError, match="spectrum unavailable"):
+        run_experiment(cfg, out_dir=tmp_path / "late")
+    assert not (tmp_path / "late").exists()
+
+
+def test_write_pgm_roundtrip(tmp_path):
+    rng = np.random.default_rng(3)
+    img = rng.integers(0, 256, size=(9, 13)).astype(np.uint8)
+    path = tmp_path / "plot.pgm"
+    digest = write_pgm(path, img)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    raw = path.read_bytes()
+    header = b"P5\n13 9\n255\n"
+    assert raw.startswith(header)
+    body = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(9, 13)
+    assert np.array_equal(body, img)
+    with pytest.raises(ValueError):
+        write_pgm(path, img.astype(np.int16))
+
+
+def test_stats_csv_layout(tmp_path):
+    path = tmp_path / "stats.csv"
+    rows = [
+        (0.0, RecurrenceStats(0.0, None, None)),
+        (0.5, RecurrenceStats(0.25, 0.125, 0.5)),
+    ]
+    digest = write_recurrence_stats_csv(path, rows)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    lines = path.read_text().splitlines()
+    assert lines[0] == (
+        "radius,recurrence_probability,mean_recurrence_strength,"
+        "conditional_full_recurrence_probability"
+    )
+    assert lines[1] == "0.0,0.0,-,-"
+    assert lines[2] == "0.5,0.25,0.125,0.5"
+
+
+def test_gap_csv_layout(tmp_path):
+    path = tmp_path / "gaps.csv"
+    digest = write_line_gap_csv(path, LineDistanceHistogram(4, {2: 1, 5: 2}))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    lines = path.read_text().splitlines()
+    assert lines[0] == "distance,frequency,percent"
+    assert lines[1].startswith("2,1,")
+    assert lines[2].startswith("5,2,")
+    total = sum(float(line.split(",")[2]) for line in lines[1:])
+    assert abs(total - 100.0) < 1e-9
+
+
+def test_spectrum_csv_layout(tmp_path):
+    rng = np.random.default_rng(9)
+    x, y = rng.random(64), rng.random(64)
+    pa, pb = power_spectrum(x), power_spectrum(y)
+    path = tmp_path / "spec.csv"
+    digest = write_spectrum_csv(path, [pa, pb])
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    lines = path.read_text().splitlines()
+    assert lines[0] == "frequency,power_neuron0,power_neuron1"
+    assert len(lines) == 1 + pa.bins
+    first = lines[1].split(",")
+    assert float(first[0]) == pa.frequencies[0]
+    assert float(first[1]) == pa.power[0]
+    # byte determinism of the writer
+    path2 = tmp_path / "spec2.csv"
+    write_spectrum_csv(path2, [pa, pb])
+    assert path.read_bytes() == path2.read_bytes()
+    with pytest.raises(ValueError):
+        write_spectrum_csv(path, [])
+    with pytest.raises(ValueError):
+        write_spectrum_csv(path, [pa, power_spectrum(rng.random(100))])
 
 
 def test_sweep_rows_and_error_capture(tmp_path):

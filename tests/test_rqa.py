@@ -22,9 +22,6 @@ from qnetdyn.rqa import (
     pearson_correlation,
     recurrence_stats,
     render_recurrence_plot,
-    write_line_gap_csv,
-    write_pgm,
-    write_recurrence_stats_csv,
 )
 from qnetdyn.rqa import _kernels_py
 
@@ -248,47 +245,6 @@ def test_render_symmetry_and_chunking():
         render_recurrence_plot(pts, 0.25, 10, 10)
     with pytest.raises(ValueError):
         render_recurrence_plot(pts, 0.25, 0, 151)
-
-
-def test_write_pgm_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    img = rng.integers(0, 256, size=(9, 13)).astype(np.uint8)
-    path = tmp_path / "plot.pgm"
-    write_pgm(path, img)
-    raw = path.read_bytes()
-    header = b"P5\n13 9\n255\n"
-    assert raw.startswith(header)
-    body = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(9, 13)
-    assert np.array_equal(body, img)
-    with pytest.raises(ValueError):
-        write_pgm(path, img.astype(np.int16))
-
-
-def test_stats_csv_layout(tmp_path):
-    path = tmp_path / "stats.csv"
-    rows = [
-        (0.0, RecurrenceStats(0.0, None, None)),
-        (0.5, RecurrenceStats(0.25, 0.125, 0.5)),
-    ]
-    write_recurrence_stats_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == (
-        "radius,recurrence_probability,mean_recurrence_strength,"
-        "conditional_full_recurrence_probability"
-    )
-    assert lines[1] == "0.0,0.0,-,-"
-    assert lines[2] == "0.5,0.25,0.125,0.5"
-
-
-def test_gap_csv_layout(tmp_path):
-    path = tmp_path / "gaps.csv"
-    write_line_gap_csv(path, LineDistanceHistogram(4, {2: 1, 5: 2}))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "distance,frequency,percent"
-    assert lines[1].startswith("2,1,")
-    assert lines[2].startswith("5,2,")
-    total = sum(float(line.split(",")[2]) for line in lines[1:])
-    assert abs(total - 100.0) < 1e-9
 
 
 def test_kernel_backends_bit_identical():

@@ -13,7 +13,6 @@ from qnetdyn.spectral import (
     loglog_slope,
     power_spectrum,
     prominent_peaks,
-    write_spectrum_csv,
 )
 
 
@@ -123,25 +122,3 @@ def test_periodogram_validation():
         Periodogram(np.array([0.1, 0.2]), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         Periodogram(np.array([]), np.array([]))
-
-
-def test_spectrum_csv_layout(tmp_path):
-    rng = np.random.default_rng(9)
-    x, y = rng.random(64), rng.random(64)
-    pa, pb = power_spectrum(x), power_spectrum(y)
-    path = tmp_path / "spec.csv"
-    write_spectrum_csv(path, [pa, pb])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "frequency,power_neuron0,power_neuron1"
-    assert len(lines) == 1 + pa.bins
-    first = lines[1].split(",")
-    assert float(first[0]) == pa.frequencies[0]
-    assert float(first[1]) == pa.power[0]
-    # byte determinism of the writer
-    path2 = tmp_path / "spec2.csv"
-    write_spectrum_csv(path2, [pa, pb])
-    assert path.read_bytes() == path2.read_bytes()
-    with pytest.raises(ValueError):
-        write_spectrum_csv(path, [])
-    with pytest.raises(ValueError):
-        write_spectrum_csv(path, [pa, power_spectrum(rng.random(100))])
