@@ -36,7 +36,6 @@ from .network import (
     build_conditional_gate,
     build_qrnn_map,
     compose_neural_map,
-    iterate,
     qrnn_rotation,
     qrnn_topology,
     run_trajectory,

@@ -324,6 +324,8 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=(0.1,)
         observers=("mean-field", "entropy"),
     )
     jobs = [(minimal, float(r), radii) for r in r_values]
+    # a fork pool starts all max_workers processes up front
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))

@@ -25,7 +25,6 @@ from .linalg import (
     as_state,
     check_unitary,
     identity,
-    norm,
     projector,
     tensor_chain,
 )
@@ -236,22 +235,6 @@ def build_qrnn_map(params: QRNNParams) -> UnitaryNeuralMap:
     gate1 = build_conditional_gate(ConditionalGateSpec(target=1, inputs=(0,), table=table), topo)
     order = ActivationOrder(perm=(1, 0))
     return compose_neural_map([gate0, gate1], order, topology=topo, params={"r": params.r})
-
-
-def iterate(map_: UnitaryNeuralMap, v: np.ndarray, steps: int) -> np.ndarray:
-    """Apply the map ``steps`` times by repeated matrix-vector products."""
-    if steps < 0:
-        raise ValueError(f"step count must be >= 0, got {steps}")
-    f = map_.matrix
-    v = as_state(v)
-    if v.shape[0] != f.shape[0]:
-        raise DimensionError(f"state dim {v.shape[0]} != map dim {f.shape[0]}")
-    for _ in range(steps):
-        v = f @ v
-    drift = abs(norm(v) - 1.0)
-    if drift > DRIFT_TOL:
-        raise RuntimeError(f"norm drifted by {drift:.3e} after {steps} steps")
-    return v
 
 
 def run_trajectory(

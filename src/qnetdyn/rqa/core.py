@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # compiled kernel is optional; the numpy path is always available
-    from . import _kernels as _impl
+from ._kernels_py import distances, radius_bucket_counts
 
-    KERNEL_BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernels_py as _impl
-
-    KERNEL_BACKEND = "python"
+# Name of the kernel that computes the recurrence counts, for run records.
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND",
@@ -177,7 +173,7 @@ def diagonal_profiles(traj, radii):
         raise ValueError("need at least one radius")
     if rad.size > 1 and not np.all(np.diff(rad) > 0):
         raise ValueError("radii must be strictly ascending")
-    buckets = _impl.radius_bucket_counts(pts, rad)
+    buckets = radius_bucket_counts(pts, rad)
     counts = np.cumsum(buckets, axis=0)
     return [
         DiagonalProfile(pts.shape[0], float(rad[k]), counts[k])
@@ -258,11 +254,6 @@ def render_recurrence_plot(traj, cfg, start, stop, chunk=512):
     image = np.empty((width, width), dtype=np.uint8)
     for row0 in range(0, width, chunk):
         rows = window[row0 : row0 + chunk]
-        diff = rows[:, None, 0] - window[None, :, 0]
-        acc = diff * diff
-        for k in range(1, window.shape[1]):
-            diff = rows[:, None, k] - window[None, :, k]
-            acc = acc + diff * diff
-        black = np.sqrt(acc) <= cfg.radius
+        black = distances(rows[:, None], window[None]) <= cfg.radius
         image[row0 : row0 + rows.shape[0]] = np.where(black, 0, 255)
     return image

@@ -22,7 +22,7 @@ from qnetdyn.fields import (
     neural_activity_operator,
     quantum_average,
 )
-from qnetdyn.network import QRNNParams, build_qrnn_map, iterate, run_trajectory
+from qnetdyn.network import QRNNParams, build_qrnn_map, run_trajectory
 from qnetdyn.rqa import (
     diagonal_profile,
     diagonal_profiles,
@@ -102,13 +102,10 @@ def test_fixed_point_regime():
     for _ in range(20):
         v0 = _random_state(rng)
         a0 = activity_mean_field(v0, 2)
-        v = v0
-        for _ in range(1000):
-            v = map_.matrix @ v
-            state_dev = max(state_dev, float(np.abs(v - v0).max()))
-            activity_dev = max(
-                activity_dev, float(np.abs(activity_mean_field(v, 2) - a0).max())
-            )
+        # applications 1..1000
+        states, acts = run_trajectory(map_, v0, 1, 1000, [np.copy, _mf_observer])
+        state_dev = max(state_dev, float(np.abs(states - v0).max()))
+        activity_dev = max(activity_dev, float(np.abs(acts - a0).max()))
     elapsed = time.perf_counter() - t0
     ok = state_dev < 1e-10 and activity_dev < 1e-10 and elapsed < 1.0
     check(
@@ -127,12 +124,8 @@ def test_three_cycle_regime():
     state_dev = activity_dev = 0.0
     for _ in range(20):
         v = _random_state(rng)
-        states = [v]
-        for _ in range(1003):
-            v = map_.matrix @ v
-            states.append(v)
-        states = np.array(states)
-        acts = np.array([activity_mean_field(s, 2) for s in states])
+        # applications 0..1003
+        states, acts = run_trajectory(map_, v, 0, 1004, [np.copy, _mf_observer])
         diffs = np.linalg.norm(states[3:1004] - states[0:1001], axis=1)
         state_dev = max(state_dev, float(diffs.max()))
         activity_dev = max(
@@ -325,7 +318,7 @@ def test_picture_equivalence():
         map_ = build_qrnn_map(QRNNParams(r))
         obs = neural_activity_operator(k, 2)
         heis = quantum_average(heisenberg_evolve(obs, map_, t), v0)
-        schr = quantum_average(obs, iterate(map_, v0, t))
+        schr = quantum_average(obs, run_trajectory(map_, v0, t, 1, [np.copy])[0][0])
         worst = max(worst, abs(heis - schr))
     ok = worst < 1e-9
     check(

@@ -17,7 +17,7 @@ from qnetdyn.experiment import (
     write_recurrence_stats_csv,
     write_spectrum_csv,
 )
-from qnetdyn.network import QRNNParams, build_qrnn_map, iterate
+from qnetdyn.network import QRNNParams, build_qrnn_map, run_trajectory
 from qnetdyn.rqa import LineDistanceHistogram, RecurrenceStats
 from qnetdyn.spectral import power_spectrum
 
@@ -87,7 +87,7 @@ def test_series_time_base_and_values(tmp_path):
     assert [int(r[0]) for r in rows[:3]] == [4, 5, 6]
 
     map_ = build_qrnn_map(QRNNParams(0.55))
-    v = iterate(map_, parse_config(FULL).initial_state, 4)
+    v = run_trajectory(map_, parse_config(FULL).initial_state, 4, 1, [np.copy])[0][0]
     from qnetdyn.fields import activity_mean_field
 
     expected = activity_mean_field(v, 2)
@@ -269,6 +269,38 @@ def test_sweep_parallel_matches_serial(tmp_path):
     serial = run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "s", workers=1)
     parallel = run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "p", workers=2)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sweep_pool_capped_at_row_count(tmp_path, monkeypatch):
+    pools = []
+
+    class SerialPool:
+        """Records the pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    base = parse_config(FULL.replace("samples = 60", "samples = 40"))
+    serial = run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "s", workers=1)
+    assert pools == []
+    capped = run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "p", workers=5000)
+    assert pools == [3]
+    assert capped.read_bytes() == serial.read_bytes()
+    run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "two", workers=2)
+    assert pools == [3, 2]
+    # one row runs without a pool
+    run_sweep(base, [0.5], tmp_path / "one", workers=5000)
+    assert pools == [3, 2]
 
 
 def test_cli_run_and_presets(tmp_path, capsys):

@@ -16,7 +16,7 @@ from qnetdyn.fields import (
     neural_activity_operator,
     quantum_average,
 )
-from qnetdyn.network import QRNNParams, build_qrnn_map, iterate, run_trajectory
+from qnetdyn.network import QRNNParams, build_qrnn_map, run_trajectory
 
 
 def random_state(rng, dim):
@@ -160,7 +160,7 @@ def test_mean_field_examples():
         assert np.array_equal(mean_field(linalg.basis_state((1, 1), 2), 2), [1.0, 1.0])
         assert np.allclose(mean_field(linalg.uniform_state(2, 2), 2), [0.5, 0.5], atol=1e-15)
         m = build_qrnn_map(QRNNParams(1.0))
-        stepped = iterate(m, linalg.uniform_state(2, 2), 1)
+        stepped = run_trajectory(m, linalg.uniform_state(2, 2), 1, 1, [np.copy])[0][0]
         assert np.allclose(mean_field(stepped, 2), [0.5, 0.5], atol=1e-12)
 
 
@@ -210,7 +210,7 @@ def test_picture_equivalence():
         m = build_qrnn_map(QRNNParams(r))
         v0 = random_state(rng, 4)
         for t in (0, 1, 7, 50):
-            vt = iterate(m, v0, t)
+            vt = run_trajectory(m, v0, t, 1, [np.copy])[0][0]
             for k in range(2):
                 nk = neural_activity_operator(k, 2)
                 moved = quantum_average(heisenberg_evolve(nk, m, t), v0, herm_tol=1e-10)

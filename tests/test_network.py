@@ -19,7 +19,6 @@ from qnetdyn.network import (
     build_conditional_gate,
     build_qrnn_map,
     compose_neural_map,
-    iterate,
     qrnn_rotation,
     qrnn_topology,
     run_trajectory,
@@ -270,7 +269,7 @@ def test_compose_rejects_bad_gates():
 def test_iterate_zero_steps_returns_input():
     m = build_qrnn_map(QRNNParams(0.7))
     v = linalg.uniform_state(2, 2)
-    out = iterate(m, v, 0)
+    out = run_trajectory(m, v, 0, 1, [np.copy])[0][0]
     assert np.array_equal(out, v)
 
 
@@ -278,7 +277,7 @@ def test_fixed_point_at_zero_rotation():
     m = build_qrnn_map(QRNNParams(0.0))
     rng = np.random.default_rng(22)
     v = random_state(rng, 4)
-    out = iterate(m, v, 1000)
+    out = run_trajectory(m, v, 1000, 1, [np.copy])[0][0]
     assert np.array_equal(out, v)
 
 
@@ -296,14 +295,16 @@ def test_period_three_at_full_rotation():
 def test_iterate_norm_guard():
     m = build_qrnn_map(QRNNParams(0.3))
     with pytest.raises(ValueError):
-        iterate(m, np.array([0.9, 0, 0, 0]), 5)
+        run_trajectory(m, np.array([0.9, 0, 0, 0]), 5, 1, [np.copy])
     with pytest.raises(ValueError):
-        iterate(m, linalg.uniform_state(2, 2), -1)
+        run_trajectory(m, linalg.uniform_state(2, 2), -1, 1, [np.copy])
+    with pytest.raises(ValueError):
+        run_trajectory(m, linalg.uniform_state(2, 2), 0, -1, [np.copy])
 
 
 def test_long_run_norm_drift_stays_small():
     m = build_qrnn_map(QRNNParams(0.550129597))
-    v = iterate(m, linalg.uniform_state(2, 2), 30000)
+    v = run_trajectory(m, linalg.uniform_state(2, 2), 30000, 1, [np.copy])[0][0]
     assert abs(linalg.norm(v) - 1.0) < 1e-10
 
 
@@ -316,14 +317,6 @@ def test_trajectory_records_initial_state_first():
     v0 = linalg.uniform_state(2, 2)
     (taps,) = run_trajectory(m, v0, transient=0, samples=1, observers=[np.copy])
     assert np.array_equal(taps[0], v0)
-
-
-def test_trajectory_sample_alignment():
-    m = build_qrnn_map(QRNNParams(0.31))
-    v0 = linalg.uniform_state(2, 2)
-    (taps,) = run_trajectory(m, v0, transient=5, samples=4, observers=[np.copy])
-    for i, state in enumerate(taps):
-        assert np.allclose(state, iterate(m, v0, 5 + i), atol=1e-14)
 
 
 def test_trajectory_multiple_observers_and_determinism():

@@ -1,7 +1,7 @@
 """Recurrence quantification tests.
 
 The load-bearing oracle is a brute-force T x T distance matrix built with
-the same coordinate accumulation order as the streaming kernels, so the
+the same coordinate accumulation order as the streaming kernel, so the
 streaming profile must match it exactly, not just within tolerance.
 """
 
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from qnetdyn.rqa import (
-    KERNEL_BACKEND,
     DiagonalProfile,
     LineDistanceHistogram,
     RecurrenceConfig,
@@ -23,7 +22,6 @@ from qnetdyn.rqa import (
     recurrence_stats,
     render_recurrence_plot,
 )
-from qnetdyn.rqa import _kernels_py
 
 
 def brute_counts(pts, radius):
@@ -247,21 +245,20 @@ def test_render_symmetry_and_chunking():
         render_recurrence_plot(pts, 0.25, 0, 151)
 
 
-def test_kernel_backends_bit_identical():
-    if KERNEL_BACKEND != "compiled":
-        pytest.skip("compiled kernel not built")
-    from qnetdyn.rqa import _kernels
-
-    rng = np.random.default_rng(2024)
-    for _ in range(20):
-        n = int(rng.integers(2, 120))
-        dim = int(rng.integers(1, 5))
-        pts = np.ascontiguousarray(rng.random((n, dim)))
-        radii = np.sort(rng.random(int(rng.integers(1, 6))))
-        radii = np.unique(radii)
-        got = _kernels.radius_bucket_counts(pts, radii)
-        ref = _kernels_py.radius_bucket_counts(pts, radii)
-        assert np.array_equal(got, ref)
+def test_plot_matches_profile_at_closed_threshold():
+    # a walk on an integer lattice puts many pair distances exactly on
+    # the radii 1, sqrt(2) and sqrt(3), so any difference between the
+    # plot's and the kernel's distance arithmetic would show in the ties
+    rng = np.random.default_rng(31)
+    for dim in (1, 2, 3):
+        pts = np.cumsum(rng.integers(-1, 2, size=(300, dim)), axis=0).astype(float)
+        for radius in (0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0):
+            counts = diagonal_profile(pts, radius).counts
+            img = render_recurrence_plot(pts, radius, 0, len(pts), chunk=64)
+            black = [int(np.count_nonzero(np.diag(img, d) == 0)) for d in range(1, len(pts))]
+            assert black == counts.tolist()
+        on_radius = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)) == 1.0
+        assert np.count_nonzero(on_radius) > 100
 
 
 def test_profile_offset_metadata():
