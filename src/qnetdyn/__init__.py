@@ -69,6 +69,7 @@ from .rqa import (
     diagonal_profile,
     diagonal_profiles,
     full_recurrence_line_gaps,
+    full_recurrence_offsets,
     pearson_correlation,
     recurrence_stats,
     render_recurrence_plot,

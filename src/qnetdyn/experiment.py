@@ -4,11 +4,13 @@ This module alone owns the output formats: the analysis modules return
 values and the writers below turn them into bytes.  A run has two
 phases.  The trajectory and every analysis run first, and the output
 directory is created only when all of them have succeeded, so a failed
-run leaves no directory behind.  All numeric output uses repr()
-formatting (shortest round-trip decimals) and LF line endings, so
-identical configs produce byte-identical data files on the same
-machine.  Each file is written in one call and hashed from its bytes;
-the manifest is written last and lists every output with its SHA-256.
+run leaves no directory behind.  If a write then fails, the files this
+run began are removed, and so is the directory if this run created it.
+All numeric output uses repr() formatting (shortest round-trip
+decimals) and LF line endings, so identical configs produce
+byte-identical data files on the same machine.  Each file is written
+in one call and hashed from its bytes; the manifest is written last and
+lists every output with its SHA-256.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .entropy import EntropyTrajectory, entropy_observer, entropy_stats
 from .fields import MeanFieldTrajectory, activity_mean_field
 from .network import QRNNParams, build_qrnn_map, run_trajectory
 from .rqa import (
-    diagonal_profile,
+    diagonal_profile,  # noqa: F401  unused; perfbench/layers.py wraps this attribute
     diagonal_profiles,
     full_recurrence_line_gaps,
+    full_recurrence_offsets,
     pearson_correlation,
     recurrence_stats,
     render_recurrence_plot,
@@ -243,8 +246,8 @@ def _analyses(cfg: ExperimentConfig):
 
     if cfg.line_gap_radius is not None:
         pts = _source_points(data, cfg.line_gap_source)
-        profile = diagonal_profile(pts, cfg.line_gap_radius)
-        gaps = full_recurrence_line_gaps(profile)
+        offsets = full_recurrence_offsets(pts, cfg.line_gap_radius)
+        gaps = full_recurrence_line_gaps(offsets)
         outputs.append(("line_gaps.csv", write_line_gap_csv, gaps))
 
     if cfg.spectrum:
@@ -264,21 +267,35 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     t0 = time.perf_counter()
     outputs = _analyses(cfg)
     directory = Path(out_dir if out_dir is not None else (cfg.out_directory or "out"))
+    created = not directory.exists()
     directory.mkdir(parents=True, exist_ok=True)
     checksums = {}
-    for name, writer, *args in outputs:
-        try:
-            checksums[name] = writer(directory / name, *args)
-        except Exception as exc:
-            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
-    manifest = RunManifest(
-        version=__version__,
-        duration_seconds=time.perf_counter() - t0,
-        config_items=tuple(cfg.echo_items()),
-        checksums=checksums,
-        directory=directory,
-    )
-    manifest.write(directory / "manifest.txt")
+    begun = []
+    try:
+        for name, writer, *args in outputs:
+            path = directory / name
+            begun.append(path)
+            try:
+                checksums[name] = writer(path, *args)
+            except Exception as exc:
+                raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
+        manifest = RunManifest(
+            version=__version__,
+            duration_seconds=time.perf_counter() - t0,
+            config_items=tuple(cfg.echo_items()),
+            checksums=checksums,
+            directory=directory,
+        )
+        path = directory / "manifest.txt"
+        begun.append(path)
+        manifest.write(path)
+    except BaseException:
+        # a failed write leaves no partial outputs behind
+        for path in begun:
+            path.unlink(missing_ok=True)
+        if created:
+            directory.rmdir()
+        raise
     manifest.verify()
     return manifest
 

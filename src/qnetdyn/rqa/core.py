@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import distances, radius_bucket_counts
+from ._kernels_py import distances, full_diagonals, radius_bucket_counts
 
 # Name of the kernel that computes the recurrence counts, for run records.
 KERNEL_BACKEND = "python"
@@ -27,6 +27,7 @@ __all__ = [
     "LineDistanceHistogram",
     "diagonal_profile",
     "diagonal_profiles",
+    "full_recurrence_offsets",
     "recurrence_stats",
     "full_recurrence_line_gaps",
     "pearson_correlation",
@@ -78,9 +79,6 @@ class DiagonalProfile:
 
     def pair_totals(self):
         return self.length - self.offsets()
-
-    def recurrent_offsets(self):
-        return self.offsets()[self.counts > 0]
 
     def full_offsets(self):
         """Offsets whose diagonal is 100% recurrent."""
@@ -137,10 +135,6 @@ class LineDistanceHistogram:
             raise ValueError("gap frequencies must cover every consecutive pair")
         object.__setattr__(self, "frequencies", freq)
 
-    @property
-    def empty(self):
-        return not self.frequencies
-
     def percentages(self):
         total = sum(self.frequencies.values())
         return {g: 100.0 * c / total for g, c in self.frequencies.items()}
@@ -188,6 +182,19 @@ def diagonal_profile(traj, cfg):
     return diagonal_profiles(traj, [cfg.radius])[0]
 
 
+def full_recurrence_offsets(traj, cfg):
+    """Ascending offsets whose diagonal is 100% recurrent at one radius.
+
+    Equals ``diagonal_profile(traj, cfg).full_offsets()`` without counting
+    every pair: a diagonal with a non-recurrent pair among its first few
+    is dropped there, and only the rest are compared along their whole
+    length.
+    """
+    if not isinstance(cfg, RecurrenceConfig):
+        cfg = RecurrenceConfig(cfg)
+    return full_diagonals(_as_points(traj), cfg.radius)
+
+
 def recurrence_stats(profile):
     """Summarize a diagonal profile into the three recurrence statistics."""
     counts = profile.counts
@@ -204,9 +211,9 @@ def recurrence_stats(profile):
     return RecurrenceStats(probability, strength, n_full / n_recurrent)
 
 
-def full_recurrence_line_gaps(profile):
-    """Histogram the spacings of the 100% recurrence diagonals."""
-    full = profile.full_offsets()
+def full_recurrence_line_gaps(full_offsets):
+    """Histogram the spacings of ascending 100% recurrence offsets."""
+    full = np.asarray(full_offsets)
     if full.size < 2:
         return LineDistanceHistogram(int(full.size), {})
     gaps, freq = np.unique(np.diff(full), return_counts=True)

@@ -27,6 +27,7 @@ from qnetdyn.rqa import (
     diagonal_profile,
     diagonal_profiles,
     full_recurrence_line_gaps,
+    full_recurrence_offsets,
     pearson_correlation,
     recurrence_stats,
 )
@@ -243,7 +244,7 @@ def test_recurrence_statistics_sweep(run_aperiodic):
 
 def test_line_gap_histogram_mean_field(run_aperiodic):
     mf = run_aperiodic[0][:20000]
-    hist = full_recurrence_line_gaps(diagonal_profile(mf, 0.1))
+    hist = full_recurrence_line_gaps(full_recurrence_offsets(mf, 0.1))
     expected = {5: 352, 21: 836, 26: 25}
     ok = hist.frequencies == expected
     check(
@@ -256,7 +257,7 @@ def test_line_gap_histogram_mean_field(run_aperiodic):
 
 def test_line_gap_histogram_entropy(run_aperiodic):
     ent = run_aperiodic[1][:20000]
-    hist = full_recurrence_line_gaps(diagonal_profile(ent, 0.1))
+    hist = full_recurrence_line_gaps(full_recurrence_offsets(ent, 0.1))
     expected = {47: 248, 68: 88, 115: 20}
     ok = hist.frequencies == expected
     check(
@@ -265,6 +266,15 @@ def test_line_gap_histogram_entropy(run_aperiodic):
         ok,
         f"got {hist.frequencies}, expected {expected}",
     )
+
+
+def test_line_gap_query_matches_full_count(run_aperiodic):
+    # the early-stop query behind line_gaps.csv against a complete count,
+    # on the trajectories of acceptance 07 and 08
+    for series in run_aperiodic:
+        pts = series[:20000]
+        want = diagonal_profile(pts, 0.1).full_offsets()
+        assert np.array_equal(full_recurrence_offsets(pts, 0.1), want)
 
 
 def test_entropy_statistics_aperiodic(run_aperiodic):

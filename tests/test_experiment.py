@@ -163,6 +163,37 @@ def test_failed_run_creates_no_directory(tmp_path, monkeypatch):
     assert not (tmp_path / "late").exists()
 
 
+def test_failed_write_leaves_no_partial_outputs(tmp_path, monkeypatch):
+    cfg = parse_config(FULL)
+
+    # the plot is written last, after every other data file
+    def broken_pgm(path, image):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment, "write_pgm", broken_pgm)
+    with pytest.raises(RuntimeError, match="recurrence_plot.pgm.*disk full"):
+        run_experiment(cfg, out_dir=tmp_path / "fresh")
+    assert not (tmp_path / "fresh").exists()
+
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "notes.txt").write_text("kept")
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_experiment(cfg, out_dir=existing)
+    assert [p.name for p in existing.iterdir()] == ["notes.txt"]
+    assert (existing / "notes.txt").read_text() == "kept"
+
+    # the manifest is the last file a run writes
+    def broken_manifest(self, path):
+        raise OSError("disk full")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(experiment.RunManifest, "write", broken_manifest)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg, out_dir=tmp_path / "no-manifest")
+    assert not (tmp_path / "no-manifest").exists()
+
+
 def test_write_pgm_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     img = rng.integers(0, 256, size=(9, 13)).astype(np.uint8)

@@ -18,10 +18,12 @@ from qnetdyn.rqa import (
     diagonal_profile,
     diagonal_profiles,
     full_recurrence_line_gaps,
+    full_recurrence_offsets,
     pearson_correlation,
     recurrence_stats,
     render_recurrence_plot,
 )
+from qnetdyn.rqa._kernels_py import HEAD_ROWS, radius_bucket_counts
 
 
 def brute_counts(pts, radius):
@@ -110,6 +112,55 @@ def test_streaming_zero_radius_brute_force():
     assert prof.counts.sum() > 0  # binary points collide
 
 
+def test_bucket_prefilter_keeps_ties_on_largest_radius():
+    # lattice points put many pair distances exactly on the largest
+    # radius, where the prefilter drops pairs before bucketing them
+    rng = np.random.default_rng(61)
+    for dim, top in ((1, 1.0), (2, math.sqrt(2.0)), (3, math.sqrt(3.0)), (2, 2.0)):
+        pts = rng.integers(0, 3, size=(120, dim)).astype(float)
+        radii = np.array([0.0, 0.5 * top, top])
+        cumulative = np.cumsum(radius_bucket_counts(pts, radii), axis=0)
+        for k, radius in enumerate(radii):
+            assert np.array_equal(cumulative[k], brute_counts(pts, radius))
+        on_top = brute_counts(pts, top) - brute_counts(pts, np.nextafter(top, 0.0))
+        assert on_top.sum() > 100
+
+
+def test_full_offsets_query_matches_full_count():
+    # the early-stop query must find exactly the full diagonals of a
+    # complete count
+    rng = np.random.default_rng(57)
+    cases = []
+    for dim in (1, 2, 3):
+        # integer-lattice walks: ties on the closed threshold
+        walk = np.cumsum(rng.integers(-1, 2, size=(150, dim)), axis=0).astype(float)
+        # a lattice cycle of period 6 that drifts by one lattice step per
+        # period, so offset 6 is full only because its ties count
+        cycle = rng.integers(-1, 2, size=(6, dim)).astype(float)
+        drift = np.ones(dim)
+        steps = np.arange(150)
+        drifting = cycle[steps % 6] + (steps // 6)[:, None] * drift
+        for radius in (0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0)):
+            cases += [(walk, radius), (drifting, radius)]
+        assert 6 in full_recurrence_offsets(drifting, math.sqrt(dim))
+        assert 6 not in full_recurrence_offsets(drifting, np.nextafter(math.sqrt(dim), 0.0))
+    # periodic and constant series: every multiple of the period survives
+    # the head rows, and for the constant one every diagonal (worst case)
+    cases += [(np.tile(rng.random((7, 2)), (20, 1)), 0.0), (np.zeros((60, 2)), 0.0)]
+    # random points, with radii at which the short late diagonals are full
+    for _ in range(20):
+        pts = rng.random((int(rng.integers(2, 120)), int(rng.integers(1, 4))))
+        cases.append((pts, float(rng.random() * 1.5)))
+    # trajectories no longer than the head rows
+    for n in range(2, HEAD_ROWS + 3):
+        cases.append((rng.integers(0, 2, size=(n, 2)).astype(float), 1.0))
+    for pts, radius in cases:
+        got = full_recurrence_offsets(pts, radius)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, diagonal_profile(pts, radius).full_offsets())
+    assert full_recurrence_offsets(np.zeros((60, 2)), 0.0).tolist() == list(range(1, 60))
+
+
 def test_multi_radius_matches_single_radius():
     rng = np.random.default_rng(19)
     pts = rng.random((120, 2))
@@ -138,7 +189,7 @@ def test_period_detection():
     prof = diagonal_profile(pts, 0.0)
     expected = [d for d in range(1, 100) if d % q == 0]
     assert list(prof.full_offsets()) == expected
-    hist = full_recurrence_line_gaps(prof)
+    hist = full_recurrence_line_gaps(prof.full_offsets())
     assert hist.frequencies == {q: len(expected) - 1}
     assert hist.percentages() == {q: 100.0}
 
@@ -183,7 +234,7 @@ def test_stats_validation():
 def test_line_gap_histogram():
     pts = np.tile(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), 4)
     prof = diagonal_profile(pts, 0.0)
-    hist = full_recurrence_line_gaps(prof)
+    hist = full_recurrence_line_gaps(prof.full_offsets())
     assert list(prof.full_offsets()) == [5, 10, 15]
     assert hist.line_count == 3
     assert hist.frequencies == {5: 2}
@@ -191,8 +242,8 @@ def test_line_gap_histogram():
 
 
 def test_line_gap_histogram_too_few_lines():
-    hist = full_recurrence_line_gaps(diagonal_profile(np.arange(8.0), 0.0))
-    assert hist.empty
+    hist = full_recurrence_line_gaps(diagonal_profile(np.arange(8.0), 0.0).full_offsets())
+    assert hist.frequencies == {}
     assert hist.line_count == 0
     with pytest.raises(ValueError):
         LineDistanceHistogram(1, {3: 1})
@@ -265,7 +316,7 @@ def test_profile_offset_metadata():
     prof = diagonal_profile(np.arange(5.0), 1.0)
     assert list(prof.offsets()) == [1, 2, 3, 4]
     assert list(prof.pair_totals()) == [4, 3, 2, 1]
-    assert list(prof.recurrent_offsets()) == [1]
+    assert list(prof.offsets()[prof.counts > 0]) == [1]
 
 
 def test_quasiperiodic_two_gap_structure():
@@ -274,6 +325,6 @@ def test_quasiperiodic_two_gap_structure():
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     t = np.arange(400)
     pts = np.stack([np.cos(2 * np.pi * phi * t), np.sin(2 * np.pi * phi * t)], axis=1)
-    hist = full_recurrence_line_gaps(diagonal_profile(pts, 0.05))
-    assert not hist.empty
+    hist = full_recurrence_line_gaps(diagonal_profile(pts, 0.05).full_offsets())
+    assert hist.frequencies != {}
     assert 1 <= len(hist.frequencies) <= 3
