@@ -64,8 +64,8 @@ from .rqa import (
     KERNEL_BACKEND,
     DiagonalProfile,
     LineDistanceHistogram,
-    RecurrenceConfig,
     RecurrenceStats,
+    check_radii,
     diagonal_profile,
     diagonal_profiles,
     full_recurrence_line_gaps,

@@ -2,7 +2,9 @@
 
 Sections are [network], [initial], [run], [analyses], [output].  Unknown
 sections or keys are errors, not warnings, so a typo cannot silently
-disable an analysis.  `#` starts a comment.
+disable an analysis.  `#` starts a comment.  This module owns the text
+grammar only: each value is checked by the library code that uses it at
+run time, and every default is ExperimentConfig's.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from importlib import resources
 
 import numpy as np
 
+from .linalg import as_state
+from .network import QRNNParams
+from .rqa import check_radii
 from .spectral import MIN_SPECTRUM_SAMPLES
 
 __all__ = [
@@ -63,7 +68,7 @@ class ExperimentConfig:
     initial_state: np.ndarray
     transient: int
     samples: int
-    observers: tuple
+    observers: tuple = ()
     topology: str = "qrnn"
     correlation: bool = False
     stats: bool = False
@@ -121,13 +126,21 @@ class ConfigError(ValueError):
     """Raised for unparseable or invalid configuration text."""
 
 
+def _check(label, owner, *args):
+    """Call the library check ``owner``; its ValueError becomes a ConfigError."""
+    try:
+        return owner(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 def initial_state_vector(label: str) -> np.ndarray:
     """Translate an initial-state description into four amplitudes.
 
     Accepted forms: the named state plus-plus, basis:DD with one firing
-    digit per neuron, or amplitudes:a,b,c,d with finite complex entries.
-    An explicit amplitude list must already be normalized within 1e-10;
-    it is never rescaled.
+    digit per neuron, or amplitudes:a,b,c,d with complex entries that
+    linalg.as_state accepts: finite and normalized within its tolerance.
+    An explicit amplitude list is never rescaled.
     """
     label = label.strip()
     if label == "plus-plus":
@@ -145,16 +158,10 @@ def initial_state_vector(label: str) -> np.ndarray:
         if len(parts) != 4:
             raise ConfigError(f"expected 4 amplitudes, got {len(parts)}")
         try:
-            v = np.array([complex(p.strip().replace(" ", "")) for p in parts])
+            v = [complex(p.strip().replace(" ", "")) for p in parts]
         except ValueError as exc:
             raise ConfigError(f"unparseable amplitude in {label!r}") from exc
-        # a nan norm would pass the tolerance test below
-        if not np.all(np.isfinite(v)):
-            raise ConfigError(f"non-finite amplitude in {label!r}")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-10:
-            raise ConfigError(f"initial state norm {norm!r} not within 1e-10 of 1")
-        return v
+        return _check(f"initial state {label!r}", as_state, v)
     raise ConfigError(f"unknown initial state {label!r}")
 
 
@@ -164,9 +171,9 @@ def _get_required(parser, section, key):
     return parser.get(section, key)
 
 
-def _get_float(parser, section, key, default=None):
+def _get_float(parser, section, key):
     if not parser.has_option(section, key):
-        return default
+        return None
     raw = parser.get(section, key)
     try:
         return float(raw)
@@ -174,32 +181,20 @@ def _get_float(parser, section, key, default=None):
         raise ConfigError(f"field {section}.{key}: not a number: {raw!r}") from exc
 
 
-def _check_radius(value, label):
-    # the recurrence layer accepts only finite, nonnegative radii
-    if value is not None and not (math.isfinite(value) and value >= 0.0):
-        raise ConfigError(f"{label}: {value!r} is not a finite number >= 0")
-    return value
-
-
 def parse_radius_list(raw: str, label: str) -> tuple:
-    """Comma-separated radii: nonempty, finite, >= 0 and strictly
-    ascending.  ``label`` names the source in error messages."""
+    """Comma-separated radii that rqa.check_radii accepts, as Python
+    floats.  ``label`` names the source in error messages."""
     try:
-        values = tuple(float(v.strip()) for v in raw.split(",") if v.strip())
+        values = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"{label}: bad list {raw!r}") from exc
-    if not values:
-        raise ConfigError(f"{label}: empty list")
-    for v in values:
-        _check_radius(v, label)
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"{label}: must be strictly ascending")
-    return values
+    # Python floats, so the manifest echoes repr(0.1) as 0.1
+    return tuple(_check(label, check_radii, values).tolist())
 
 
-def _get_int(parser, section, key, default=None):
+def _get_int(parser, section, key):
     if not parser.has_option(section, key):
-        return default
+        return None
     raw = parser.get(section, key)
     try:
         return int(raw)
@@ -207,18 +202,18 @@ def _get_int(parser, section, key, default=None):
         raise ConfigError(f"field {section}.{key}: not an integer: {raw!r}") from exc
 
 
-def _get_bool(parser, section, key, default=False):
+def _get_bool(parser, section, key):
     if not parser.has_option(section, key):
-        return default
+        return None
     try:
         return parser.getboolean(section, key)
     except ValueError as exc:
         raise ConfigError(f"field {section}.{key}: not a boolean") from exc
 
 
-def _get_choice(parser, section, key, choices, default):
+def _get_choice(parser, section, key, choices):
     if not parser.has_option(section, key):
-        return default
+        return None
     raw = parser.get(section, key).strip()
     if raw not in choices:
         raise ConfigError(f"field {section}.{key}: {raw!r} not one of {choices}")
@@ -249,17 +244,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if not parser.has_section(required):
             raise ConfigError(f"missing required section [{required}]")
 
-    topology = parser.get("network", "topology", fallback="qrnn").strip()
-    if topology != "qrnn":
-        raise ConfigError(f"unsupported topology {topology!r}")
     r = _get_float(parser, "network", "r")
     if r is None:
         raise ConfigError("missing required key 'r' in section [network]")
-    if not 0.0 <= r <= 1.0:
-        raise ConfigError(f"field network.r: {r!r} outside [0, 1]")
+    _check("field network.r", QRNNParams, r)
 
     label = _get_required(parser, "initial", "state")
-    state = initial_state_vector(label)
 
     transient = _get_int(parser, "run", "transient")
     samples = _get_int(parser, "run", "samples")
@@ -270,13 +260,15 @@ def parse_config(text: str) -> ExperimentConfig:
     if samples < 1:
         raise ConfigError(f"field run.samples: {samples} must be >= 1")
 
-    observers = ()
-    correlation = stats = spectrum = recurrence_plot = False
-    spectrum_source = "entropy"
-    recurrence_radii = ()
-    recurrence_source = line_gap_source = plot_source = "mean-field"
-    line_gap_radius = plot_radius = None
-    plot_window = 500
+    # only what the text sets; ExperimentConfig supplies every default
+    fields = dict(
+        topology=_get_choice(parser, "network", "topology", ("qrnn",)),
+        r=r,
+        initial_label=label,
+        initial_state=initial_state_vector(label),
+        transient=transient,
+        samples=samples,
+    )
     if parser.has_section("analyses"):
         raw_obs = _get_required(parser, "analyses", "observers")
         observers = tuple(o.strip() for o in raw_obs.split(",") if o.strip())
@@ -285,58 +277,26 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"unknown observer {obs!r}")
         if len(set(observers)) != len(observers):
             raise ConfigError("duplicate observer")
-        correlation = _get_bool(parser, "analyses", "correlation")
-        stats = _get_bool(parser, "analyses", "stats")
-        spectrum = _get_bool(parser, "analyses", "spectrum")
-        recurrence_plot = _get_bool(parser, "analyses", "recurrence_plot")
-        spectrum_source = _get_choice(parser, "analyses", "spectrum_source", _SOURCES, "entropy")
-        recurrence_source = _get_choice(
-            parser, "analyses", "recurrence_source", _SOURCES, "mean-field"
-        )
-        line_gap_source = _get_choice(
-            parser, "analyses", "line_gap_source", _SOURCES, "mean-field"
-        )
-        plot_source = _get_choice(parser, "analyses", "plot_source", _SOURCES, "mean-field")
+        fields["observers"] = observers
+        for key in ("correlation", "stats", "spectrum", "recurrence_plot"):
+            fields[key] = _get_bool(parser, "analyses", key)
+        for key in ("spectrum_source", "recurrence_source", "line_gap_source", "plot_source"):
+            fields[key] = _get_choice(parser, "analyses", key, _SOURCES)
         if parser.has_option("analyses", "recurrence_radii"):
-            recurrence_radii = parse_radius_list(
+            fields["recurrence_radii"] = parse_radius_list(
                 parser.get("analyses", "recurrence_radii"), "field analyses.recurrence_radii"
             )
-        line_gap_radius = _check_radius(
-            _get_float(parser, "analyses", "line_gap_radius"), "field analyses.line_gap_radius"
-        )
-        plot_radius = _check_radius(
-            _get_float(parser, "analyses", "plot_radius"), "field analyses.plot_radius"
-        )
-        plot_window = _get_int(parser, "analyses", "plot_window", 500)
-        if plot_window < 2:
-            raise ConfigError("field analyses.plot_window: must be >= 2")
+        for key in ("line_gap_radius", "plot_radius"):
+            radius = fields[key] = _get_float(parser, "analyses", key)
+            if radius is not None:
+                _check(f"field analyses.{key}", check_radii, [radius])
+        fields["plot_window"] = _get_int(parser, "analyses", "plot_window")
+    if parser.has_option("output", "directory"):
+        fields["out_directory"] = parser.get("output", "directory").strip()
 
-    out_directory = None
-    if parser.has_section("output") and parser.has_option("output", "directory"):
-        out_directory = parser.get("output", "directory").strip()
-
-    cfg = ExperimentConfig(
-        r=r,
-        initial_label=label,
-        initial_state=state,
-        transient=transient,
-        samples=samples,
-        observers=observers,
-        topology=topology,
-        correlation=correlation,
-        stats=stats,
-        spectrum=spectrum,
-        spectrum_source=spectrum_source,
-        recurrence_radii=recurrence_radii,
-        recurrence_source=recurrence_source,
-        line_gap_radius=line_gap_radius,
-        line_gap_source=line_gap_source,
-        recurrence_plot=recurrence_plot,
-        plot_radius=plot_radius,
-        plot_window=plot_window,
-        plot_source=plot_source,
-        out_directory=out_directory,
-    )
+    cfg = ExperimentConfig(**{k: v for k, v in fields.items() if v is not None})
+    if cfg.plot_window < 2:
+        raise ConfigError("field analyses.plot_window: must be >= 2")
     check_coherence(cfg)
     return cfg
 

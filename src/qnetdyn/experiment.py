@@ -5,7 +5,7 @@ values and the writers below turn them into bytes.  A run has two
 phases.  The trajectory and every analysis run first, and the output
 directory is created only when all of them have succeeded, so a failed
 run leaves no directory behind.  If a write then fails, the files this
-run began are removed, and so is the directory if this run created it.
+run began are removed, and so is every directory level this run created.
 All numeric output uses repr() formatting (shortest round-trip
 decimals) and LF line endings, so identical configs produce
 byte-identical data files on the same machine.  Each file is written
@@ -19,6 +19,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .entropy import EntropyTrajectory, entropy_observer, entropy_stats
 from .fields import MeanFieldTrajectory, activity_mean_field
 from .network import QRNNParams, build_qrnn_map, run_trajectory
 from .rqa import (
+    check_radii,
     diagonal_profile,  # noqa: F401  unused; perfbench/layers.py wraps this attribute
     diagonal_profiles,
     full_recurrence_line_gaps,
@@ -267,7 +269,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     t0 = time.perf_counter()
     outputs = _analyses(cfg)
     directory = Path(out_dir if out_dir is not None else (cfg.out_directory or "out"))
-    created = not directory.exists()
+    # the levels mkdir creates, innermost first
+    created = list(itertools.takewhile(lambda p: not p.exists(), (directory, *directory.parents)))
     directory.mkdir(parents=True, exist_ok=True)
     checksums = {}
     begun = []
@@ -293,8 +296,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
         # a failed write leaves no partial outputs behind
         for path in begun:
             path.unlink(missing_ok=True)
-        if created:
-            directory.rmdir()
+        for level in created:
+            level.rmdir()
         raise
     manifest.verify()
     return manifest
@@ -326,9 +329,7 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=(0.1,)
     Rows appear in r_values order regardless of completion order; a
     failing row records its error and does not stop the sweep.
     """
-    radii = tuple(float(v) for v in radii)
-    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be a nonempty ascending sequence")
+    radii = tuple(check_radii(radii).tolist())
     labels = [f"recurrence_probability_{radius:g}" for radius in radii]
     if len(set(labels)) != len(labels):
         raise ValueError(f"radii {radii} give duplicate sweep.csv column labels")

@@ -147,8 +147,6 @@ def build_conditional_gate(spec: ConditionalGateSpec, topo: NetworkTopology) -> 
             f"gate inputs {spec.inputs} do not match topology in-neighbors "
             f"{expected_inputs} of neuron {spec.target}"
         )
-    if spec.target in spec.inputs:
-        raise ValueError("gate target cannot be one of its inputs")
 
     patterns = set(itertools.product(range(l), repeat=len(spec.inputs)))
     if set(spec.table) != patterns:

@@ -21,7 +21,7 @@ KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND",
-    "RecurrenceConfig",
+    "check_radii",
     "DiagonalProfile",
     "RecurrenceStats",
     "LineDistanceHistogram",
@@ -35,17 +35,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RecurrenceConfig:
-    """Recurrence threshold; the metric is fixed Euclidean."""
+def check_radii(radii):
+    """Validate recurrence thresholds; the metric is fixed Euclidean.
 
-    radius: float
-
-    def __post_init__(self):
-        radius = float(self.radius)
-        if not math.isfinite(radius) or radius < 0.0:
-            raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
-        object.__setattr__(self, "radius", radius)
+    Returns the radii as a nonempty, strictly ascending float64 array of
+    finite values >= 0, and raises ValueError for anything else.
+    """
+    rad = np.asarray(radii, dtype=np.float64)
+    if rad.ndim != 1 or rad.size == 0:
+        raise ValueError(f"need a nonempty list of radii, got {radii!r}")
+    bad = rad[~(np.isfinite(rad) & (rad >= 0.0))]
+    if bad.size:
+        raise ValueError(f"radius must be finite and >= 0, got {float(bad[0])!r}")
+    if np.any(np.diff(rad) <= 0.0):
+        raise ValueError("radii must be strictly ascending")
+    return rad
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,7 @@ def diagonal_profiles(traj, radii):
     sums over the radius axis.
     """
     pts = _as_points(traj)
-    rad = np.asarray([RecurrenceConfig(r).radius for r in radii], dtype=np.float64)
-    if rad.size == 0:
-        raise ValueError("need at least one radius")
-    if rad.size > 1 and not np.all(np.diff(rad) > 0):
-        raise ValueError("radii must be strictly ascending")
+    rad = check_radii(radii)
     buckets = radius_bucket_counts(pts, rad)
     counts = np.cumsum(buckets, axis=0)
     return [
@@ -175,24 +175,20 @@ def diagonal_profiles(traj, radii):
     ]
 
 
-def diagonal_profile(traj, cfg):
+def diagonal_profile(traj, radius):
     """Recurrence counts per diagonal offset at one radius."""
-    if not isinstance(cfg, RecurrenceConfig):
-        cfg = RecurrenceConfig(cfg)
-    return diagonal_profiles(traj, [cfg.radius])[0]
+    return diagonal_profiles(traj, [radius])[0]
 
 
-def full_recurrence_offsets(traj, cfg):
+def full_recurrence_offsets(traj, radius):
     """Ascending offsets whose diagonal is 100% recurrent at one radius.
 
-    Equals ``diagonal_profile(traj, cfg).full_offsets()`` without counting
+    Equals ``diagonal_profile(traj, radius).full_offsets()`` without counting
     every pair: a diagonal with a non-recurrent pair among its first few
     is dropped there, and only the rest are compared along their whole
     length.
     """
-    if not isinstance(cfg, RecurrenceConfig):
-        cfg = RecurrenceConfig(cfg)
-    return full_diagonals(_as_points(traj), cfg.radius)
+    return full_diagonals(_as_points(traj), check_radii([radius])[0])
 
 
 def recurrence_stats(profile):
@@ -243,15 +239,14 @@ def pearson_correlation(x, y):
     return float(np.dot(xc, yc) / math.sqrt(vx * vy))
 
 
-def render_recurrence_plot(traj, cfg, start, stop, chunk=512):
+def render_recurrence_plot(traj, radius, start, stop, chunk=512):
     """Rasterize a square viewport of the recurrence matrix.
 
     Pixel value 0 (black) marks a recurrent pair, 255 white; row t' is
     rendered top-down.  Work proceeds in row chunks so memory stays
     O(chunk * viewport) instead of the full square.
     """
-    if not isinstance(cfg, RecurrenceConfig):
-        cfg = RecurrenceConfig(cfg)
+    radius = check_radii([radius])[0]
     pts = _as_points(traj)
     n_time = pts.shape[0]
     if not 0 <= start < stop <= n_time:
@@ -261,6 +256,6 @@ def render_recurrence_plot(traj, cfg, start, stop, chunk=512):
     image = np.empty((width, width), dtype=np.uint8)
     for row0 in range(0, width, chunk):
         rows = window[row0 : row0 + chunk]
-        black = distances(rows[:, None], window[None]) <= cfg.radius
+        black = distances(rows[:, None], window[None]) <= radius
         image[row0 : row0 + rows.shape[0]] = np.where(black, 0, 255)
     return image

@@ -1,8 +1,11 @@
 """Config grammar and preset tests."""
 
+import math
+
 import numpy as np
 import pytest
 
+from qnetdyn.cli import main
 from qnetdyn.config import (
     ConfigError,
     ExperimentConfig,
@@ -12,6 +15,9 @@ from qnetdyn.config import (
     parse_radius_list,
     preset_names,
 )
+from qnetdyn.linalg import as_state
+from qnetdyn.network import QRNNParams
+from qnetdyn.rqa import check_radii
 
 MINIMAL = """
 [network]
@@ -188,6 +194,88 @@ def test_radii_must_ascend():
             parse_config(good.replace("0, 0.01, 0.1", raw))
 
 
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except ValueError:  # ConfigError included
+        return False
+    return True
+
+
+# linalg.norm gives 0.9999999999, off 1 by 1.00000008e-10 (np.linalg.norm
+# gives 0.9999999999000001, within 1e-10); the second list is the first
+# scaled by 1 + 2**-52, with norm 0.9999999999000003
+NORM_EDGE_STATE = (
+    "amplitudes:-0.0899601024609083+0.0611798600949304j,"
+    "0.010829608027385862-0.47190751935864617j,"
+    "-0.49806032203275824+0.45299185851788665j,"
+    "0.22977647958524816+0.5092025907330756j"
+)
+NORM_INSIDE_STATE = (
+    "amplitudes:-0.08996010246090831+0.06117986009493041j,"
+    "0.010829608027385864-0.4719075193586463j,"
+    "-0.49806032203275835+0.45299185851788676j,"
+    "0.22977647958524822+0.5092025907330757j"
+)
+
+
+@pytest.mark.parametrize(
+    "r, accepted",
+    [
+        (0.0, True),
+        (1.0, True),
+        (-0.0, True),
+        (float(np.nextafter(1.0, 2.0)), False),
+        (float(np.nextafter(0.0, -1.0)), False),
+        (math.nan, False),
+    ],
+    ids=repr,
+)
+def test_r_edges_agree_with_qrnn_params(r, accepted):
+    assert _accepts(QRNNParams, r) == accepted
+    assert _accepts(parse_config, MINIMAL.replace("r = 0.25", f"r = {r!r}")) == accepted
+
+
+@pytest.mark.parametrize(
+    "radius, accepted",
+    [
+        (0.0, True),
+        (-0.0, True),
+        (5e-324, True),
+        (float(np.nextafter(0.0, -1.0)), False),
+        (math.inf, False),
+        (math.nan, False),
+    ],
+    ids=repr,
+)
+def test_radius_edges_agree_with_check_radii(radius, accepted):
+    assert _accepts(check_radii, [radius]) == accepted
+    for key in ("line_gap_radius", "plot_radius", "recurrence_radii"):
+        assert _accepts(parse_config, ANALYSES + f"{key} = {radius!r}\n") == accepted, key
+    assert _accepts(parse_radius_list, repr(radius), "label") == accepted
+
+
+@pytest.mark.parametrize(
+    "label, accepted",
+    [(NORM_EDGE_STATE, False), (NORM_INSIDE_STATE, True)],
+    ids=["norm-edge", "norm-inside"],
+)
+def test_state_edge_agrees_with_as_state(label, accepted):
+    amplitudes = [complex(a) for a in label[len("amplitudes:"):].split(",")]
+    assert _accepts(as_state, amplitudes) == accepted
+    assert _accepts(initial_state_vector, label) == accepted
+    assert _accepts(parse_config, MINIMAL.replace("plus-plus", label)) == accepted
+
+
+def test_sweep_rejects_a_state_that_runs_reject(tmp_path):
+    cfg_path = tmp_path / "edge.cfg"
+    cfg_path.write_text(MINIMAL.replace("plus-plus", NORM_EDGE_STATE))
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(cfg_path), "--r-from", "0", "--r-to", "1", "--r-steps", "2"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not (out / "sweep.csv").exists()
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL.replace("samples = 10", "samples = 10\nsamples = 20"))
@@ -234,6 +322,59 @@ def test_echo_items_roundtrip():
     assert items["initial.state"] == "plus-plus"
     assert items["analyses.correlation"] == "true"
     assert "initial.amplitudes" in items
+
+    every_key = """
+[network]
+topology = qrnn
+r = 0.55
+
+[initial]
+state = amplitudes: 0.6, 0, 0, 0.8j
+
+[run]
+transient = 3
+samples = 60
+
+[analyses]
+observers = mean-field, entropy, raw-state
+correlation = yes
+stats = yes
+spectrum = yes
+spectrum_source = mean-field
+recurrence_radii = 0, 0.05, 0.1
+recurrence_source = entropy
+line_gap_radius = 0.1
+line_gap_source = entropy
+recurrence_plot = yes
+plot_radius = 0.2
+plot_window = 8
+plot_source = entropy
+
+[output]
+directory = out/every
+"""
+    assert parse_config(every_key).echo_items() == [
+        ("network.topology", "qrnn"),
+        ("network.r", "0.55"),
+        ("initial.state", "amplitudes: 0.6, 0, 0, 0.8j"),
+        ("initial.amplitudes", "(0.6+0j), 0j, 0j, 0.8j"),
+        ("run.transient", "3"),
+        ("run.samples", "60"),
+        ("analyses.observers", "mean-field, entropy, raw-state"),
+        ("analyses.correlation", "true"),
+        ("analyses.stats", "true"),
+        ("analyses.spectrum", "true"),
+        ("analyses.spectrum_source", "mean-field"),
+        ("analyses.recurrence_radii", "0.0, 0.05, 0.1"),
+        ("analyses.recurrence_source", "entropy"),
+        ("analyses.line_gap_radius", "0.1"),
+        ("analyses.line_gap_source", "entropy"),
+        ("analyses.recurrence_plot", "true"),
+        ("analyses.plot_radius", "0.2"),
+        ("analyses.plot_window", "8"),
+        ("analyses.plot_source", "entropy"),
+        ("output.directory", "out/every"),
+    ]
 
 
 def test_with_r():

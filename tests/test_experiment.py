@@ -174,6 +174,10 @@ def test_failed_write_leaves_no_partial_outputs(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="recurrence_plot.pgm.*disk full"):
         run_experiment(cfg, out_dir=tmp_path / "fresh")
     assert not (tmp_path / "fresh").exists()
+    # every directory level the run created goes, not only the innermost
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_experiment(cfg, out_dir=tmp_path / "a" / "b" / "run")
+    assert not (tmp_path / "a").exists()
 
     existing = tmp_path / "existing"
     existing.mkdir()

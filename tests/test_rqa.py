@@ -13,8 +13,8 @@ import pytest
 from qnetdyn.rqa import (
     DiagonalProfile,
     LineDistanceHistogram,
-    RecurrenceConfig,
     RecurrenceStats,
+    check_radii,
     diagonal_profile,
     diagonal_profiles,
     full_recurrence_line_gaps,
@@ -42,17 +42,15 @@ def brute_counts(pts, radius):
 
 
 def test_config_validation():
-    assert RecurrenceConfig(0.0).radius == 0.0
-    with pytest.raises(ValueError):
-        RecurrenceConfig(-0.1)
-    with pytest.raises(ValueError):
-        RecurrenceConfig(float("nan"))
-    with pytest.raises(ValueError):
-        RecurrenceConfig(float("inf"))
+    rad = check_radii([0.0, 0.1])
+    assert rad.dtype == np.float64 and list(rad) == [0.0, 0.1]
+    for radii in ([-0.1], [float("nan")], [float("inf")], [], [0.2, 0.1], [0.1, 0.1]):
+        with pytest.raises(ValueError):
+            check_radii(radii)
 
 
 def test_profile_constant_series():
-    prof = diagonal_profile(np.zeros(3), RecurrenceConfig(0.0))
+    prof = diagonal_profile(np.zeros(3), 0.0)
     assert prof.length == 3
     assert list(prof.counts) == [2, 1]
     assert list(prof.full_offsets()) == [1, 2]
