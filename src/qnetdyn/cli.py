@@ -17,6 +17,7 @@ from .config import (
     preset_names,
 )
 from .experiment import run_experiment, run_sweep
+from .network import QRNNParams
 
 
 def _build_parser():
@@ -75,8 +76,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.r_steps < 1:
             parser.error("--r-steps must be >= 1")
-        if not (0.0 <= args.r_from <= 1.0 and 0.0 <= args.r_to <= 1.0):
-            parser.error("--r-from/--r-to must lie in [0, 1]")
+        try:
+            QRNNParams(args.r_from), QRNNParams(args.r_to)
+        except ValueError as exc:
+            parser.error(f"--r-from/--r-to: {exc}")
         if args.workers < 1:
             parser.error("--workers must be >= 1")
         r_values = np.linspace(args.r_from, args.r_to, args.r_steps)

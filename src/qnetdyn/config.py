@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
-from .linalg import as_state
+from .linalg import as_state, basis_state
 from .network import QRNNParams
 from .rqa import check_radii
 from .spectral import MIN_SPECTRUM_SAMPLES
@@ -33,30 +34,7 @@ __all__ = [
     "initial_state_vector",
 ]
 
-_SOURCES = ("mean-field", "entropy")
 _OBSERVERS = ("mean-field", "entropy", "raw-state")
-
-_KNOWN_KEYS = {
-    "network": {"topology", "r"},
-    "initial": {"state"},
-    "run": {"transient", "samples"},
-    "analyses": {
-        "observers",
-        "correlation",
-        "stats",
-        "spectrum",
-        "spectrum_source",
-        "recurrence_radii",
-        "recurrence_source",
-        "line_gap_radius",
-        "line_gap_source",
-        "recurrence_plot",
-        "plot_radius",
-        "plot_window",
-        "plot_source",
-    },
-    "output": {"directory"},
-}
 
 
 @dataclass(frozen=True)
@@ -88,38 +66,32 @@ class ExperimentConfig:
         return replace(self, r=float(r))
 
     def echo_items(self):
-        """Canonical (key, value) pairs for manifest embedding."""
-        amps = ", ".join(repr(complex(a)) for a in self.initial_state)
-        items = [
-            ("network.topology", self.topology),
-            ("network.r", repr(self.r)),
-            ("initial.state", self.initial_label),
-            ("initial.amplitudes", amps),
-            ("run.transient", str(self.transient)),
-            ("run.samples", str(self.samples)),
-            ("analyses.observers", ", ".join(self.observers)),
-            ("analyses.correlation", str(self.correlation).lower()),
-            ("analyses.stats", str(self.stats).lower()),
-            ("analyses.spectrum", str(self.spectrum).lower()),
-        ]
-        if self.spectrum:
-            items.append(("analyses.spectrum_source", self.spectrum_source))
-        if self.recurrence_radii:
-            items.append(
-                ("analyses.recurrence_radii", ", ".join(repr(v) for v in self.recurrence_radii))
-            )
-            items.append(("analyses.recurrence_source", self.recurrence_source))
-        if self.line_gap_radius is not None:
-            items.append(("analyses.line_gap_radius", repr(self.line_gap_radius)))
-            items.append(("analyses.line_gap_source", self.line_gap_source))
-        items.append(("analyses.recurrence_plot", str(self.recurrence_plot).lower()))
-        if self.recurrence_plot:
-            items.append(("analyses.plot_radius", repr(self.plot_radius)))
-            items.append(("analyses.plot_window", str(self.plot_window)))
-            items.append(("analyses.plot_source", self.plot_source))
-        if self.out_directory is not None:
-            items.append(("output.directory", self.out_directory))
+        """Canonical (key, value) pairs for manifest embedding: every key
+        whose switch is on, in _KEYS order."""
+        items = []
+        for section, key, field, _, switch in _KEYS:
+            if switch is None or _is_on(self, switch):
+                items.append((f"{section}.{key}", _echo(getattr(self, field))))
+            if field == "initial_label":
+                amps = ", ".join(repr(complex(a)) for a in self.initial_state)
+                items.append(("initial.amplitudes", amps))
         return items
+
+
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _is_on(cfg: ExperimentConfig, switch: str) -> bool:
+    """A switch is on when its field differs from its default (off) value."""
+    return getattr(cfg, switch) != _DEFAULTS[switch]
+
+
+def _echo(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(_echo(v) for v in value)
+    return str(value)  # str(float) is its repr
 
 
 class ConfigError(ValueError):
@@ -150,9 +122,7 @@ def initial_state_vector(label: str) -> np.ndarray:
         digits = label[len("basis:"):].strip()
         if len(digits) != 2 or any(d not in "01" for d in digits):
             raise ConfigError(f"basis state needs two binary digits, got {digits!r}")
-        v = np.zeros(4, dtype=complex)
-        v[int(digits, 2)] = 1.0
-        return v
+        return basis_state([int(d) for d in digits], 2)
     if label.startswith("amplitudes:"):
         parts = label[len("amplitudes:"):].split(",")
         if len(parts) != 4:
@@ -165,59 +135,83 @@ def initial_state_vector(label: str) -> np.ndarray:
     raise ConfigError(f"unknown initial state {label!r}")
 
 
-def _get_required(parser, section, key):
-    if not parser.has_option(section, key):
-        raise ConfigError(f"missing required key {key!r} in section [{section}]")
-    return parser.get(section, key)
+# Readers turn one raw value into a field value, or raise ValueError.
 
 
-def _get_float(parser, section, key):
-    if not parser.has_option(section, key):
-        return None
-    raw = parser.get(section, key)
+def _count(minimum, raw):
+    value = int(raw)
+    if value < minimum:
+        raise ValueError(f"{value} must be >= {minimum}")
+    return value
+
+
+def _boolean(raw):
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"field {section}.{key}: not a number: {raw!r}") from exc
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+def _choice(choices, raw):
+    if raw not in choices:
+        raise ValueError(f"{raw!r} not one of {choices}")
+    return raw
+
+
+_source = partial(_choice, ("mean-field", "entropy"))
+
+
+def _observers(raw):
+    observers = tuple(o.strip() for o in raw.split(",") if o.strip())
+    for obs in observers:
+        if obs not in _OBSERVERS:
+            raise ValueError(f"unknown observer {obs!r}")
+    if len(set(observers)) != len(observers):
+        raise ValueError("duplicate observer")
+    return observers
+
+
+def _radii(raw):
+    # Python floats, so reprs and messages print 0.1, not np.float64(0.1)
+    return tuple(check_radii([float(v) for v in raw.split(",") if v.strip()]).tolist())
+
+
+def _radius(raw):
+    return check_radii([float(raw)]).item()
+
+
+# One row per key, in manifest echo order: (section, key, ExperimentConfig
+# field, reader, the field that switches the key's analysis on).  A key
+# whose switch is off is not echoed, and setting it is an error; a row
+# with no switch is always echoed.  A key is required when its field has
+# no default.
+_KEYS = (
+    ("network", "topology", "topology", partial(_choice, ("qrnn",)), None),
+    ("network", "r", "r", lambda raw: QRNNParams(float(raw)).r, None),
+    ("initial", "state", "initial_label", str, None),
+    ("run", "transient", "transient", partial(_count, 0), None),
+    ("run", "samples", "samples", partial(_count, 1), None),
+    ("analyses", "observers", "observers", _observers, None),
+    ("analyses", "correlation", "correlation", _boolean, None),
+    ("analyses", "stats", "stats", _boolean, None),
+    ("analyses", "spectrum", "spectrum", _boolean, None),
+    ("analyses", "spectrum_source", "spectrum_source", _source, "spectrum"),
+    ("analyses", "recurrence_radii", "recurrence_radii", _radii, "recurrence_radii"),
+    ("analyses", "recurrence_source", "recurrence_source", _source, "recurrence_radii"),
+    ("analyses", "line_gap_radius", "line_gap_radius", _radius, "line_gap_radius"),
+    ("analyses", "line_gap_source", "line_gap_source", _source, "line_gap_radius"),
+    ("analyses", "recurrence_plot", "recurrence_plot", _boolean, None),
+    ("analyses", "plot_radius", "plot_radius", _radius, "recurrence_plot"),
+    ("analyses", "plot_window", "plot_window", partial(_count, 2), "recurrence_plot"),
+    ("analyses", "plot_source", "plot_source", _source, "recurrence_plot"),
+    ("output", "directory", "out_directory", str, "out_directory"),
+)
 
 
 def parse_radius_list(raw: str, label: str) -> tuple:
     """Comma-separated radii that rqa.check_radii accepts, as Python
     floats.  ``label`` names the source in error messages."""
-    try:
-        values = [float(v) for v in raw.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{label}: bad list {raw!r}") from exc
-    # Python floats, so the manifest echoes repr(0.1) as 0.1
-    return tuple(_check(label, check_radii, values).tolist())
-
-
-def _get_int(parser, section, key):
-    if not parser.has_option(section, key):
-        return None
-    raw = parser.get(section, key)
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"field {section}.{key}: not an integer: {raw!r}") from exc
-
-
-def _get_bool(parser, section, key):
-    if not parser.has_option(section, key):
-        return None
-    try:
-        return parser.getboolean(section, key)
-    except ValueError as exc:
-        raise ConfigError(f"field {section}.{key}: not a boolean") from exc
-
-
-def _get_choice(parser, section, key, choices):
-    if not parser.has_option(section, key):
-        return None
-    raw = parser.get(section, key).strip()
-    if raw not in choices:
-        raise ConfigError(f"field {section}.{key}: {raw!r} not one of {choices}")
-    return raw
+    return _check(label, _radii, raw)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -235,68 +229,27 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config parse error: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        known = {key for s, key, *_ in _KEYS if s == section}
+        if not known:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
+            if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    for required in ("network", "initial", "run"):
-        if not parser.has_section(required):
-            raise ConfigError(f"missing required section [{required}]")
-
-    r = _get_float(parser, "network", "r")
-    if r is None:
-        raise ConfigError("missing required key 'r' in section [network]")
-    _check("field network.r", QRNNParams, r)
-
-    label = _get_required(parser, "initial", "state")
-
-    transient = _get_int(parser, "run", "transient")
-    samples = _get_int(parser, "run", "samples")
-    if transient is None or samples is None:
-        raise ConfigError("section [run] requires 'transient' and 'samples'")
-    if transient < 0:
-        raise ConfigError(f"field run.transient: {transient} must be >= 0")
-    if samples < 1:
-        raise ConfigError(f"field run.samples: {samples} must be >= 1")
+    # an [analyses] section must say which observers record
+    if parser.has_section("analyses") and not parser.has_option("analyses", "observers"):
+        raise ConfigError("missing required key 'observers' in section [analyses]")
 
     # only what the text sets; ExperimentConfig supplies every default
-    fields = dict(
-        topology=_get_choice(parser, "network", "topology", ("qrnn",)),
-        r=r,
-        initial_label=label,
-        initial_state=initial_state_vector(label),
-        transient=transient,
-        samples=samples,
-    )
-    if parser.has_section("analyses"):
-        raw_obs = _get_required(parser, "analyses", "observers")
-        observers = tuple(o.strip() for o in raw_obs.split(",") if o.strip())
-        for obs in observers:
-            if obs not in _OBSERVERS:
-                raise ConfigError(f"unknown observer {obs!r}")
-        if len(set(observers)) != len(observers):
-            raise ConfigError("duplicate observer")
-        fields["observers"] = observers
-        for key in ("correlation", "stats", "spectrum", "recurrence_plot"):
-            fields[key] = _get_bool(parser, "analyses", key)
-        for key in ("spectrum_source", "recurrence_source", "line_gap_source", "plot_source"):
-            fields[key] = _get_choice(parser, "analyses", key, _SOURCES)
-        if parser.has_option("analyses", "recurrence_radii"):
-            fields["recurrence_radii"] = parse_radius_list(
-                parser.get("analyses", "recurrence_radii"), "field analyses.recurrence_radii"
-            )
-        for key in ("line_gap_radius", "plot_radius"):
-            radius = fields[key] = _get_float(parser, "analyses", key)
-            if radius is not None:
-                _check(f"field analyses.{key}", check_radii, [radius])
-        fields["plot_window"] = _get_int(parser, "analyses", "plot_window")
-    if parser.has_option("output", "directory"):
-        fields["out_directory"] = parser.get("output", "directory").strip()
-
-    cfg = ExperimentConfig(**{k: v for k, v in fields.items() if v is not None})
-    if cfg.plot_window < 2:
-        raise ConfigError("field analyses.plot_window: must be >= 2")
+    values = {}
+    for section, key, field, read, _ in _KEYS:
+        if parser.has_option(section, key):
+            values[field] = _check(f"field {section}.{key}", read, parser.get(section, key))
+        elif _DEFAULTS[field] is MISSING:
+            raise ConfigError(f"missing required key {key!r} in section [{section}]")
+    cfg = ExperimentConfig(initial_state=initial_state_vector(values["initial_label"]), **values)
+    for section, key, field, _, switch in _KEYS:
+        if field in values and switch is not None and not _is_on(cfg, switch):
+            raise ConfigError(f"field {section}.{key}: {switch} is off, so it would be ignored")
     check_coherence(cfg)
     return cfg
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_coherence
 from .entropy import EntropyTrajectory, entropy_observer, entropy_stats
 from .fields import MeanFieldTrajectory, activity_mean_field
 from .network import QRNNParams, build_qrnn_map, run_trajectory
@@ -305,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
 
 def _sweep_row(args):
     """One sweep point; returns a flat list of formatted CSV fields."""
-    cfg, r, radii = args
+    cfg, r = args
     try:
         point = cfg.with_r(r)
         data = _collect(point)
@@ -314,12 +314,12 @@ def _sweep_row(args):
         fields = [_fmt(corr)]
         for neuron in _stats_fields(data["entropy"]):
             fields += neuron
-        profiles = diagonal_profiles(mf, radii)
+        profiles = diagonal_profiles(mf, cfg.recurrence_radii)
         for profile in profiles:
             fields.append(_fmt(recurrence_stats(profile).recurrence_probability))
         return [_fmt(r)] + fields + [""]
     except Exception as exc:  # record the failure, keep sweeping
-        blank = ["-"] * (1 + 3 * N_NEURONS + len(radii))
+        blank = ["-"] * (1 + 3 * N_NEURONS + len(cfg.recurrence_radii))
         return [_fmt(r)] + blank + [f"{type(exc).__name__}: {exc}"]
 
 
@@ -327,21 +327,26 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=(0.1,)
     """Run one row per r value and write a summary CSV.
 
     Rows appear in r_values order regardless of completion order; a
-    failing row records its error and does not stop the sweep.
+    failing row records its error and does not stop the sweep.  A base
+    config that no row could run on raises before any row runs.
     """
     radii = tuple(check_radii(radii).tolist())
     labels = [f"recurrence_probability_{radius:g}" for radius in radii]
     if len(set(labels)) != len(labels):
         raise ValueError(f"radii {radii} give duplicate sweep.csv column labels")
-    minimal = ExperimentConfig(
+    row_cfg = ExperimentConfig(
         r=base.r,
         initial_label=base.initial_label,
         initial_state=base.initial_state,
         transient=base.transient,
         samples=base.samples,
         observers=("mean-field", "entropy"),
+        correlation=True,
+        stats=True,
+        recurrence_radii=radii,
     )
-    jobs = [(minimal, float(r), radii) for r in r_values]
+    check_coherence(row_cfg)
+    jobs = [(row_cfg, float(r)) for r in r_values]
     # a fork pool starts all max_workers processes up front
     workers = min(workers, len(jobs))
     if workers > 1:

@@ -79,15 +79,13 @@ class MeanFieldTrajectory:
         return self
 
 
-def build_field_operator(spec: FieldSpec, k: int, n: int, l: int | None = None) -> np.ndarray:
+def build_field_operator(spec: FieldSpec, k: int, n: int) -> np.ndarray:
     """Full-space operator of a field at site ``k``: identities at the
-    other sites, the coefficient-weighted projector sum at site k."""
-    if l is None:
-        l = spec.levels
-    if l != spec.levels:
-        raise DimensionError(f"field has {spec.levels} coefficients but sites have {l} levels")
+    other sites, the coefficient-weighted projector sum at site k.  Every
+    site has ``spec.levels`` levels."""
     if not 0 <= k < n:
         raise ValueError(f"site index {k} outside [0, {n})")
+    l = spec.levels
     factors = [identity(l)] * k + [spec.site_operator()] + [identity(l)] * (n - k - 1)
     return tensor_chain(factors)
 

@@ -1,10 +1,13 @@
 """Config grammar and preset tests."""
 
+import configparser
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qnetdyn import config
 from qnetdyn.cli import main
 from qnetdyn.config import (
     ConfigError,
@@ -178,6 +181,25 @@ def test_smallest_accepted_analysis_inputs():
     assert parse_config(two + "correlation = yes\nrecurrence_radii = 0\nline_gap_radius = 0\n")
 
 
+@pytest.mark.parametrize(
+    "key, value, switch",
+    [
+        ("spectrum_source", "mean-field", "spectrum"),
+        ("recurrence_source", "entropy", "recurrence_radii"),
+        ("line_gap_source", "entropy", "line_gap_radius"),
+        ("plot_radius", "0.1", "recurrence_plot"),
+        ("plot_window", "4", "recurrence_plot"),
+        ("plot_source", "entropy", "recurrence_plot"),
+    ],
+)
+def test_key_of_an_analysis_that_is_off_is_an_error(key, value, switch):
+    with pytest.raises(ConfigError, match=f"^field analyses.{key}: {switch} is off"):
+        parse_config(ANALYSES + f"{key} = {value}\n")
+    if switch == "recurrence_plot":  # an explicit "no" is off too
+        with pytest.raises(ConfigError, match=switch):
+            parse_config(ANALYSES + f"recurrence_plot = no\n{key} = {value}\n")
+
+
 def test_radii_must_ascend():
     good = MINIMAL + "\n[analyses]\nobservers = mean-field\nrecurrence_radii = 0, 0.01, 0.1\n"
     assert parse_config(good).recurrence_radii == (0.0, 0.01, 0.1)
@@ -250,8 +272,10 @@ def test_r_edges_agree_with_qrnn_params(r, accepted):
 )
 def test_radius_edges_agree_with_check_radii(radius, accepted):
     assert _accepts(check_radii, [radius]) == accepted
-    for key in ("line_gap_radius", "plot_radius", "recurrence_radii"):
-        assert _accepts(parse_config, ANALYSES + f"{key} = {radius!r}\n") == accepted, key
+    plot_on = "recurrence_plot = yes\nplot_window = 2\nplot_radius"
+    for setting in ("line_gap_radius", plot_on, "recurrence_radii"):
+        text = ANALYSES + f"{setting} = {radius!r}\n"
+        assert _accepts(parse_config, text) == accepted, setting
     assert _accepts(parse_radius_list, repr(radius), "label") == accepted
 
 
@@ -375,6 +399,18 @@ directory = out/every
         ("analyses.plot_source", "entropy"),
         ("output.directory", "out/every"),
     ]
+
+
+def test_readme_grammar_example_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    grammar = readme.split("### Config grammar", 1)[1]
+    example = grammar.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert cfg.spectrum and cfg.recurrence_plot and cfg.out_directory == "out/my_run"
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(example)
+    named = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert named == {(section, key) for section, key, *_ in config._KEYS}
 
 
 def test_with_r():

@@ -265,7 +265,7 @@ def test_spectrum_csv_layout(tmp_path):
         write_spectrum_csv(path, [pa, power_spectrum(rng.random(100))])
 
 
-def test_sweep_rows_and_error_capture(tmp_path):
+def test_sweep_rows_and_error_capture(tmp_path, monkeypatch):
     base = parse_config(FULL.replace("samples = 60", "samples = 40"))
     path = run_sweep(base, [0.0, 0.3, 1.0], tmp_path, radii=(0.05, 0.2))
     header, rows = read_csv(path)
@@ -279,17 +279,32 @@ def test_sweep_rows_and_error_capture(tmp_path):
     assert rows[0][1] == "-"  # fixed point: constant series
     assert all(r[-1] == "" for r in rows)
 
-    # a single-sample run cannot produce a correlation; the row records
-    # the failure and the sweep keeps going
+    # a single-sample run cannot produce a correlation: no row runs
     broken = parse_config(
         "[network]\nr = 0.5\n\n[initial]\nstate = plus-plus\n\n"
         "[run]\ntransient = 2\nsamples = 1\n"
     )
-    path = run_sweep(broken, [0.2, 0.4], tmp_path / "err", radii=(0.1,))
+    with pytest.raises(ConfigError, match="samples >= 2"):
+        run_sweep(broken, [0.2, 0.4], tmp_path / "one", radii=(0.1,))
+    assert not (tmp_path / "one").exists()
+
+    # a row that fails records its error and the sweep keeps going
+    calls = []
+    correlation = experiment.pearson_correlation
+
+    def fails_on_second_row(x, y):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("injected")
+        return correlation(x, y)
+
+    monkeypatch.setattr(experiment, "pearson_correlation", fails_on_second_row)
+    path = run_sweep(base, [0.2, 0.4, 0.6], tmp_path / "err", workers=1, radii=(0.1,))
     _, rows = read_csv(path)
-    assert len(rows) == 2
-    assert all("ValueError" in r[-1] for r in rows)
-    assert all(r[1] == "-" for r in rows)
+    assert [r[0] for r in rows] == ["0.2", "0.4", "0.6"]
+    assert rows[1][1:-1] == ["-"] * (len(rows[1]) - 2)
+    assert rows[1][-1] == "ValueError: injected"
+    assert rows[0][-1] == rows[2][-1] == ""
 
 
 def test_sweep_rejects_radii_with_equal_column_labels(tmp_path):
@@ -423,3 +438,38 @@ def test_cli_sweep(tmp_path):
     for raw in ("nan", "0.1,0.1000001"):
         assert main(sweep + ["--out", str(tmp_path / "bad"), f"--radius-list={raw}"]) == 1
     assert not (tmp_path / "bad").exists()
+    # a config no row can run on fails before any row runs
+    cfg_path.write_text(FULL.split("[analyses]")[0].replace("samples = 60", "samples = 1"))
+    assert main(sweep + ["--out", str(tmp_path / "one")]) == 1
+    assert not (tmp_path / "one").exists()
+
+
+@pytest.mark.parametrize(
+    "r, accepted",
+    [
+        (-0.0, True),
+        (1.0, True),
+        (float(np.nextafter(1.0, 2.0)), False),
+        (float("nan"), False),
+    ],
+    ids=repr,
+)
+def test_cli_sweep_r_edges_agree_with_qrnn_params(tmp_path, r, accepted):
+    try:
+        QRNNParams(r)
+    except ValueError:
+        assert not accepted
+    else:
+        assert accepted
+    cfg_path = tmp_path / "base.cfg"
+    cfg_path.write_text(FULL.replace("samples = 60", "samples = 32"))
+    out = tmp_path / "sw"
+    for ends in ([f"--r-from={r!r}", "--r-to=0.5"], ["--r-from=0.5", f"--r-to={r!r}"]):
+        argv = ["sweep", str(cfg_path), *ends, "--r-steps", "1", "--out", str(out)]
+        if accepted:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert not out.exists()

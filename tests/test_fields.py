@@ -63,8 +63,6 @@ def test_field_spec_validation():
         FieldSpec(coeffs=(0.0, np.inf))
     with pytest.raises(ValueError):
         build_field_operator(FieldSpec(coeffs=(0.0, 1.0)), 2, 2)
-    with pytest.raises(linalg.DimensionError):
-        build_field_operator(FieldSpec(coeffs=(0.0, 1.0)), 0, 2, l=3)
 
 
 # ---------------------------------------------------------------------------
