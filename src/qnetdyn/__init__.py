@@ -17,7 +17,6 @@ from .linalg import (
     check_hermitian,
     check_unitary,
     digits_to_flat,
-    flat_to_digits,
     hermitian_eigenvalues,
     identity,
     norm,

@@ -1,11 +1,11 @@
 """Configuration-driven runner: model to trajectory to analyses to files.
 
 This module alone owns the output formats: the analysis modules return
-values and the writers below turn them into bytes.  A run has two
-phases.  The trajectory and every analysis run first, and the output
+values and the writers below turn them into bytes.  A run, and a sweep
+of runs, has two phases.  Every analysis runs first, and the output
 directory is created only when all of them have succeeded, so a failed
-run leaves no directory behind.  If a write then fails, the files this
-run began are removed, and so is every directory level this run created.
+run leaves no directory behind.  If a write then fails, the files it
+began are removed, and so is every directory level it created.
 All numeric output uses repr() formatting (shortest round-trip
 decimals) and LF line endings, so identical configs produce
 byte-identical data files on the same machine.  Each file is written
@@ -15,6 +15,7 @@ lists every output with its SHA-256.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -185,15 +186,6 @@ def _collect(cfg: ExperimentConfig):
     return dict(zip(cfg.observers, recorded))
 
 
-def _stats_fields(ent):
-    """Formatted min, max and mean of each neuron's entropy series."""
-    stats = entropy_stats(EntropyTrajectory(ent))
-    return [
-        [_fmt(stats.minimum[k]), _fmt(stats.maximum[k]), _fmt(stats.mean[k])]
-        for k in range(ent.shape[1])
-    ]
-
-
 def _source_points(data, source):
     if source == "mean-field":
         return MeanFieldTrajectory(data["mean-field"]).validate_activity_bounds().points
@@ -233,9 +225,10 @@ def _analyses(cfg: ExperimentConfig):
         )
 
     if cfg.stats:
-        header = ["neuron", "min", "max", "mean"]
-        rows = [[str(k)] + fields for k, fields in enumerate(_stats_fields(data["entropy"]))]
-        outputs.append(("entropy_stats.csv", _write_csv, header, rows))
+        stats = entropy_stats(EntropyTrajectory(data["entropy"]))
+        neurons = zip(*map(_fmt_column, (stats.minimum, stats.maximum, stats.mean)))
+        rows = [[str(k), *fields] for k, fields in enumerate(neurons)]
+        outputs.append(("entropy_stats.csv", _write_csv, ["neuron", "min", "max", "mean"], rows))
 
     if cfg.recurrence_radii:
         pts = _source_points(data, cfg.recurrence_source)
@@ -264,17 +257,34 @@ def _analyses(cfg: ExperimentConfig):
     return outputs
 
 
+@contextlib.contextmanager
+def _output_directory(directory: Path):
+    """Create ``directory`` and yield the list of paths begun in it.
+
+    If the body raises, every begun path is removed, and so is every
+    directory level created here.
+    """
+    # the levels mkdir creates, innermost first
+    created = list(itertools.takewhile(lambda p: not p.exists(), (directory, *directory.parents)))
+    directory.mkdir(parents=True, exist_ok=True)
+    begun = []
+    try:
+        yield begun
+    except BaseException:
+        for path in begun:
+            path.unlink(missing_ok=True)
+        for level in created:
+            level.rmdir()
+        raise
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     """Execute one configured run; write its outputs once every analysis succeeded."""
     t0 = time.perf_counter()
     outputs = _analyses(cfg)
     directory = Path(out_dir if out_dir is not None else (cfg.out_directory or "out"))
-    # the levels mkdir creates, innermost first
-    created = list(itertools.takewhile(lambda p: not p.exists(), (directory, *directory.parents)))
-    directory.mkdir(parents=True, exist_ok=True)
     checksums = {}
-    begun = []
-    try:
+    with _output_directory(directory) as begun:
         for name, writer, *args in outputs:
             path = directory / name
             begun.append(path)
@@ -292,35 +302,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
         path = directory / "manifest.txt"
         begun.append(path)
         manifest.write(path)
-    except BaseException:
-        # a failed write leaves no partial outputs behind
-        for path in begun:
-            path.unlink(missing_ok=True)
-        for level in created:
-            level.rmdir()
-        raise
     manifest.verify()
     return manifest
 
 
 def _sweep_row(args):
-    """One sweep point; returns a flat list of formatted CSV fields."""
+    """One sweep point: the fields its run writes to summary.csv,
+    entropy_stats.csv and recurrence_stats.csv, and an error string."""
     cfg, r = args
     try:
-        point = cfg.with_r(r)
-        data = _collect(point)
-        mf = data["mean-field"]
-        corr = pearson_correlation(mf[:, 0], mf[:, 1])
-        fields = [_fmt(corr)]
-        for neuron in _stats_fields(data["entropy"]):
-            fields += neuron
-        profiles = diagonal_profiles(mf, cfg.recurrence_radii)
-        for profile in profiles:
-            fields.append(_fmt(recurrence_stats(profile).recurrence_probability))
-        return [_fmt(r)] + fields + [""]
+        # each output's last writer argument holds its rows
+        rows = {name: last for name, *_, last in _analyses(cfg.with_r(r))}
+        fields = [_fmt(r), rows["summary.csv"][0][1]]
+        fields += [field for neuron in rows["entropy_stats.csv"] for field in neuron[1:]]
+        fields += [_fmt(stats.recurrence_probability) for _, stats in rows["recurrence_stats.csv"]]
+        return fields, ""
     except Exception as exc:  # record the failure, keep sweeping
-        blank = ["-"] * (1 + 3 * N_NEURONS + len(cfg.recurrence_radii))
-        return [_fmt(r)] + blank + [f"{type(exc).__name__}: {exc}"]
+        return [_fmt(r)], f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=(0.1,)) -> Path:
@@ -351,15 +349,17 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=(0.1,)
     workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
+            results = list(pool.map(_sweep_row, jobs))
     else:
-        rows = [_sweep_row(job) for job in jobs]
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+        results = [_sweep_row(job) for job in jobs]
     header = ["r", "correlation"]
     for k in range(N_NEURONS):
         header += [f"entropy_min_{k}", f"entropy_max_{k}", f"entropy_mean_{k}"]
     header += labels + ["error"]
-    path = directory / "sweep.csv"
-    _write_csv(path, header, rows)
+    # a failed row holds only r; '-' fills it up to the error column
+    rows = [fields + ["-"] * (len(header) - len(fields) - 1) + [error] for fields, error in results]
+    path = Path(out_dir) / "sweep.csv"
+    with _output_directory(path.parent) as begun:
+        begun.append(path)
+        _write_csv(path, header, rows)
     return path

@@ -47,17 +47,6 @@ def digits_to_flat(digits, l: int) -> int:
     return flat
 
 
-def flat_to_digits(flat: int, n: int, l: int) -> tuple:
-    """Digit tuple ``(s0, ..., s_{n-1})`` of a flat basis index."""
-    if not 0 <= flat < l**n:
-        raise ValueError(f"index {flat} outside [0, {l}**{n})")
-    digits = []
-    for _ in range(n):
-        digits.append(flat % l)
-        flat //= l
-    return tuple(reversed(digits))
-
-
 # ---------------------------------------------------------------------------
 # constructors and validators
 

@@ -6,9 +6,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from _closed_form import spectral_mean_field
 from qnetdyn import experiment
 from qnetdyn.cli import main
-from qnetdyn.config import ConfigError, parse_config
+from qnetdyn.config import ConfigError, load_preset, parse_config
 from qnetdyn.experiment import (
     run_experiment,
     run_sweep,
@@ -17,6 +18,7 @@ from qnetdyn.experiment import (
     write_recurrence_stats_csv,
     write_spectrum_csv,
 )
+from qnetdyn.linalg import DRIFT_TOL
 from qnetdyn.network import QRNNParams, build_qrnn_map, run_trajectory
 from qnetdyn.rqa import LineDistanceHistogram, RecurrenceStats
 from qnetdyn.spectral import power_spectrum
@@ -93,6 +95,24 @@ def test_series_time_base_and_values(tmp_path):
     expected = activity_mean_field(v, 2)
     assert float(rows[0][1]) == pytest.approx(expected[0], abs=1e-15)
     assert float(rows[0][2]) == pytest.approx(expected[1], abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["table3", "figure4b", "figure1"])
+def test_series_matches_spectral_closed_form(tmp_path, name):
+    # sample i is the state after transient + 1 + i applications, here
+    # taken from the map's eigendecomposition instead of by iterating
+    cfg = load_preset(name)
+    run_experiment(cfg, out_dir=tmp_path)
+    series = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)
+    times = cfg.transient + 1 + np.arange(cfg.samples)
+    matrix = build_qrnn_map(QRNNParams(cfg.r)).matrix
+    expected = spectral_mean_field(matrix, cfg.initial_state, times)
+    assert np.max(np.abs(series[:, 1:3] - expected)) < DRIFT_TOL
+    assert np.array_equal(series[:, 0], times)
+    # the bound resolves a shift of one step either way
+    for shift in (-1, 1):
+        shifted = spectral_mean_field(matrix, cfg.initial_state, times + shift)
+        assert np.max(np.abs(series[:, 1:3] - shifted)) > 1e-4
 
 
 def test_state_csv_reconstructs_unit_vectors(tmp_path):
@@ -197,6 +217,22 @@ def test_failed_write_leaves_no_partial_outputs(tmp_path, monkeypatch):
         run_experiment(cfg, out_dir=tmp_path / "no-manifest")
     assert not (tmp_path / "no-manifest").exists()
 
+    # a sweep writes sweep.csv under the same rule
+    def partial_csv(path, header, rows):
+        path.write_text(",".join(header))
+        raise OSError("disk full")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(experiment, "_write_csv", partial_csv)
+    base = parse_config(FULL.replace("samples = 60", "samples = 40"))
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(base, [0.2, 0.6], tmp_path / "c" / "d" / "sweep")
+    assert not (tmp_path / "c").exists()
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(base, [0.2, 0.6], existing)
+    assert [p.name for p in existing.iterdir()] == ["notes.txt"]
+    assert (existing / "notes.txt").read_text() == "kept"
+
 
 def test_write_pgm_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
@@ -278,6 +314,22 @@ def test_sweep_rows_and_error_capture(tmp_path, monkeypatch):
     assert [r[0] for r in rows] == ["0.0", "0.3", "1.0"]
     assert rows[0][1] == "-"  # fixed point: constant series
     assert all(r[-1] == "" for r in rows)
+
+    # each row holds the values that its run writes, string for string
+    for row in rows:
+        run_cfg = parse_config(
+            f"[network]\nr = {row[0]}\n\n[initial]\nstate = plus-plus\n\n"
+            "[run]\ntransient = 3\nsamples = 40\n\n[analyses]\n"
+            "observers = mean-field, entropy\ncorrelation = yes\nstats = yes\n"
+            "recurrence_radii = 0.05, 0.2\n"
+        )
+        run = tmp_path / f"run-{row[0]}"
+        run_experiment(run_cfg, out_dir=run)
+        (summary,) = read_csv(run / "summary.csv")[1]
+        entropy = read_csv(run / "entropy_stats.csv")[1]
+        recurrence = read_csv(run / "recurrence_stats.csv")[1]
+        expected = [summary[1]] + [f for neuron in entropy for f in neuron[1:]]
+        assert row[1:-1] == expected + [stats[1] for stats in recurrence]
 
     # a single-sample run cannot produce a correlation: no row runs
     broken = parse_config(

@@ -8,6 +8,7 @@ oracles here, plus structural checks for the general n-neuron builder.
 import numpy as np
 import pytest
 
+from _closed_form import map_eigenvalues
 from qnetdyn import linalg
 from qnetdyn.network import (
     BLOCK_SIZE,
@@ -212,6 +213,19 @@ def test_qrnn_map_special_points():
     fh = build_qrnn_map(QRNNParams(0.5)).matrix
     assert abs(fh[2, 2] - np.sqrt(2) / 2) < 1e-15
     assert abs(fh[2, 3] + np.sqrt(2) / 2) < 1e-15
+
+
+def test_qrnn_spectrum_matches_closed_form_angle():
+    # This catches a wrong rotation angle (r * pi in place of r * pi/2
+    # moves theta by up to 1.24 rad).  A swapped activation order, a swapped gate
+    # table or a transposed rotation leaves the spectrum unchanged, so this
+    # test cannot see them; the closed-form map tests above do.
+    for r in np.linspace(0.0, 1.0, 1001):
+        got = np.linalg.eigvals(build_qrnn_map(QRNNParams(r)).matrix)
+        want = map_eigenvalues(r)
+        # ordered by imaginary part: e^{-i theta}, the pair of 1s, e^{i theta}
+        got, want = got[np.argsort(got.imag)], want[np.argsort(want.imag)]
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_amplitude_recursions():
