@@ -20,7 +20,6 @@ import csv
 import functools
 import hashlib
 import io
-import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -261,19 +260,21 @@ def _analyses(cfg: ExperimentConfig):
 def _output_directory(directory: Path):
     """Create ``directory`` and yield the list of paths begun in it.
 
-    If the body raises, every begun path is removed, and so is every
-    directory level created here.
+    If creating it or the body raises, every begun path is removed, and
+    so is every directory level created here.
     """
-    # the levels mkdir creates, innermost first
-    created = list(itertools.takewhile(lambda p: not p.exists(), (directory, *directory.parents)))
-    directory.mkdir(parents=True, exist_ok=True)
-    begun = []
+    created, begun = [], []
     try:
+        # outermost first, one level at a time: a failure knows what it made
+        for level in (*reversed(directory.parents), directory):
+            if not level.is_dir():
+                level.mkdir()
+                created.append(level)
         yield begun
     except BaseException:
         for path in begun:
             path.unlink(missing_ok=True)
-        for level in created:
+        for level in reversed(created):
             level.rmdir()
         raise
 

@@ -265,9 +265,11 @@ def run_trajectory(
     for start in range(0, max(samples, 1), BLOCK_SIZE):
         count = min(BLOCK_SIZE, samples - start)
         block = np.empty((count, v.shape[0]), dtype=np.complex128)
-        for i in range(count):
-            block[i] = v
-            v = f @ v
+        if count:
+            block[0] = v
+            for i in range(1, count):
+                np.dot(f, block[i - 1], out=block[i])  # the bytes of f @ v, in place
+            v = f @ block[-1]
         drift = np.abs(np.sqrt(np.sum(block.real**2 + block.imag**2, axis=1)) - 1.0)
         if np.any(drift > DRIFT_TOL):
             raise RuntimeError(f"norm drifted by {drift.max():.3e} during trajectory")

@@ -1,6 +1,7 @@
 """Experiment runner and CLI tests on small deterministic runs."""
 
 import dataclasses
+import errno
 import hashlib
 
 import numpy as np
@@ -232,6 +233,22 @@ def test_failed_write_leaves_no_partial_outputs(tmp_path, monkeypatch):
         run_sweep(base, [0.2, 0.6], existing)
     assert [p.name for p in existing.iterdir()] == ["notes.txt"]
     assert (existing / "notes.txt").read_text() == "kept"
+
+
+def test_failed_mkdir_removes_the_levels_it_made(tmp_path):
+    # the third level's name is too long for the file system, so mkdir
+    # fails after the first two levels exist
+    out = tmp_path / "q" / "r" / ("y" * 300) / "s"
+    cfg = parse_config(FULL)
+    with pytest.raises(OSError) as run_error:
+        run_experiment(cfg, out_dir=out)
+    assert run_error.value.errno == errno.ENAMETOOLONG
+    assert list(tmp_path.iterdir()) == []
+    base = parse_config(FULL.replace("samples = 60", "samples = 40"))
+    with pytest.raises(OSError) as sweep_error:
+        run_sweep(base, [0.2, 0.6], out)
+    assert sweep_error.value.errno == errno.ENAMETOOLONG
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_pgm_roundtrip(tmp_path):

@@ -23,6 +23,7 @@ from qnetdyn.rqa import (
     recurrence_stats,
     render_recurrence_plot,
 )
+from qnetdyn.rqa import _kernels_py
 from qnetdyn.rqa._kernels_py import HEAD_ROWS, radius_bucket_counts
 
 
@@ -122,6 +123,36 @@ def test_bucket_prefilter_keeps_ties_on_largest_radius():
             assert np.array_equal(cumulative[k], brute_counts(pts, radius))
         on_top = brute_counts(pts, top) - brute_counts(pts, np.nextafter(top, 0.0))
         assert on_top.sum() > 100
+
+
+@pytest.mark.parametrize("tile_pairs", [1, 2, 7, 64])
+def test_small_tiles_match_brute_force(monkeypatch, tile_pairs):
+    # at n <= 200 the default TILE_PAIRS puts every diagonal of the two
+    # tests above in one tile; tiny tiles exercise one-diagonal tiles,
+    # ragged last tiles and the seams between tiles
+    monkeypatch.setattr(_kernels_py, "TILE_PAIRS", tile_pairs)
+    test_streaming_equals_brute_force()
+    test_bucket_prefilter_keeps_ties_on_largest_radius()
+
+
+def test_default_tiles_match_brute_force():
+    # 600 points take several tiles at the default size; 2 and 3 take one
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 600):
+        lattice = rng.integers(0, 3, size=(n, 2)) * 0.5
+        for pts, radii in ((rng.random((n, 2)), [0.05, 0.3]), (lattice, [0.5, 1.0])):
+            cumulative = np.cumsum(radius_bucket_counts(pts, np.array(radii)), axis=0)
+            for k, radius in enumerate(radii):
+                assert np.array_equal(cumulative[k], brute_counts(pts, radius))
+
+
+def test_tile_padding_is_never_within_a_radius():
+    # the largest finite radius covers every pair of finite points, but
+    # not the padding past the end of the trajectory that fills out the
+    # shorter diagonals of a tile
+    pts = np.random.default_rng(5).random((50, 2))
+    buckets = radius_bucket_counts(pts, np.array([0.5, np.finfo(np.float64).max]))
+    assert np.array_equal(buckets.sum(axis=0), np.arange(49, 0, -1))
 
 
 def test_full_offsets_query_matches_full_count():
