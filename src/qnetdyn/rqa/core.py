@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import distances, full_diagonals, radius_bucket_counts
+from ._kernels_py import full_diagonals, radius_bucket_counts, squared_bounds, squared_sums
 
 # Name of the kernel that computes the recurrence counts, for run records.
 KERNEL_BACKEND = "python"
@@ -251,11 +251,12 @@ def render_recurrence_plot(traj, radius, start, stop, chunk=512):
     n_time = pts.shape[0]
     if not 0 <= start < stop <= n_time:
         raise ValueError(f"viewport [{start}, {stop}) outside trajectory of {n_time}")
-    window = pts[start:stop]
+    bound = squared_bounds([radius])[0]
+    window = np.ascontiguousarray(pts[start:stop].T)  # one row per coordinate
     width = stop - start
     image = np.empty((width, width), dtype=np.uint8)
     for row0 in range(0, width, chunk):
-        rows = window[row0 : row0 + chunk]
-        black = distances(rows[:, None], window[None]) <= radius
-        image[row0 : row0 + rows.shape[0]] = np.where(black, 0, 255)
+        rows = window[:, row0 : row0 + chunk, None]
+        black = squared_sums(rows, window[:, None]) <= bound
+        image[row0 : row0 + rows.shape[1]] = np.where(black, 0, 255)
     return image

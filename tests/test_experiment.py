@@ -24,6 +24,9 @@ from qnetdyn.network import QRNNParams, build_qrnn_map, run_trajectory
 from qnetdyn.rqa import LineDistanceHistogram, RecurrenceStats
 from qnetdyn.spectral import power_spectrum
 
+# Largest |entropy_0 - entropy_1| allowed on one pure two-neuron state.
+SCHMIDT_TOL = 1e-14
+
 FULL = """
 [network]
 r = 0.55
@@ -114,6 +117,19 @@ def test_series_matches_spectral_closed_form(tmp_path, name):
     for shift in (-1, 1):
         shifted = spectral_mean_field(matrix, cfg.initial_state, times + shift)
         assert np.max(np.abs(series[:, 1:3] - shifted)) > 1e-4
+
+
+def test_entropy_columns_share_one_schmidt_spectrum(tmp_path):
+    # both reduced states of a pure two-neuron state have the same
+    # spectrum, so entropy_0 equals entropy_1 in exact arithmetic; table5
+    # differs by at most 2.6e-15.  A partial trace that gives no neuron's
+    # reduced state breaks this; keeping the other neuron's does not.
+    cfg = load_preset("table5")
+    run_experiment(cfg, out_dir=tmp_path)
+    series = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)
+    assert series.shape == (cfg.samples, 3)
+    assert np.max(np.abs(series[:, 1] - series[:, 2])) < SCHMIDT_TOL
+    assert np.max(series[:, 1]) > 0.5  # the bound is not met by zeros alone
 
 
 def test_state_csv_reconstructs_unit_vectors(tmp_path):

@@ -6,6 +6,9 @@ streaming profile must match it exactly, not just within tolerance.
 """
 
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +156,68 @@ def test_tile_padding_is_never_within_a_radius():
     pts = np.random.default_rng(5).random((50, 2))
     buckets = radius_bucket_counts(pts, np.array([0.5, np.finfo(np.float64).max]))
     assert np.array_equal(buckets.sum(axis=0), np.arange(49, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "radius",
+    [0.0, 5e-324, 2.2e-308, 1e-300, 1e-160, 1e-155, 1e-3, 0.1]
+    + [math.sqrt(2.0), math.sqrt(3.0), 1e154, 1e200, np.finfo(np.float64).max],
+)
+def test_squared_bound_decides_as_sqrt(radius):
+    # every output compares squared sums with the bound, so x <= bound
+    # must hold exactly when sqrt(x) <= radius: on the 50 doubles either
+    # side of the bound and on doubles drawn from the whole range >= 0
+    bound = _kernels_py.squared_bounds([radius])[0]
+    near = [float(bound)]
+    for direction in (math.inf, 0.0):
+        x = float(bound)
+        for _ in range(50):
+            x = math.nextafter(x, direction)
+            near.append(x)
+    top = np.array(np.inf).view(np.int64)  # the bit pattern of +inf
+    drawn = np.random.default_rng(13).integers(0, top, size=100_000, endpoint=True)
+    xs = np.concatenate([near, drawn.view(np.float64)])
+    assert np.array_equal(xs <= bound, np.sqrt(xs) <= radius)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_counts_do_not_depend_on_thread_count(monkeypatch, cpus):
+    # tiny tiles give the lattice and tie cases of the two tests above
+    # many tiles, which are dealt out to one thread per CPU
+    monkeypatch.setattr(_kernels_py, "TILE_PAIRS", 7)
+    monkeypatch.setattr(_kernels_py, "usable_cpus", lambda: cpus)
+    on_main = set()
+    count_tiles = _kernels_py._count_tiles
+
+    def spy(*args):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        count_tiles(*args)
+
+    monkeypatch.setattr(_kernels_py, "_count_tiles", spy)
+    # switching threads every few bytecodes interleaves the tiles finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        test_streaming_equals_brute_force()
+        test_bucket_prefilter_keeps_ties_on_largest_radius()
+    finally:
+        sys.setswitchinterval(interval)
+    assert (False in on_main) == (cpus > 1)
+
+
+def test_kernel_leaves_no_thread_running(monkeypatch):
+    # run_sweep's fork pool must never fork while kernel threads are live,
+    # after a count and after a count that fails in its threads
+    monkeypatch.setattr(_kernels_py, "usable_cpus", lambda: 3)
+    pts = np.random.default_rng(9).random((600, 2))
+    before = threading.active_count()
+    radius_bucket_counts(pts, np.array([0.1, 0.3]))
+    assert threading.active_count() == before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            radius_bucket_counts(pts * 1e200, np.array([0.1, 0.3]))
+    assert threading.active_count() == before
 
 
 def test_full_offsets_query_matches_full_count():
