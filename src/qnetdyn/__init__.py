@@ -41,10 +41,10 @@ from .network import (
 )
 from .fields import (
     FieldSpec,
-    MeanFieldTrajectory,
     activity_amplitude_sum,
     activity_mean_field,
     build_field_operator,
+    check_activity_bounds,
     heisenberg_evolve,
     neural_activity_operator,
     quantum_average,
@@ -52,7 +52,7 @@ from .fields import (
 from .entropy import (
     CLIP_TOL,
     EntropyStats,
-    EntropyTrajectory,
+    check_entropy_range,
     clip_spectrum,
     entropy_observer,
     entropy_stats,

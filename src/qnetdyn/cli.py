@@ -9,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 
 from .config import (
-    ConfigError,
     check_coherence,
     load_config,
     load_preset,
@@ -87,7 +86,7 @@ def main(argv=None) -> int:
         path = run_sweep(cfg, r_values, args.out, workers=args.workers, radii=radii)
         print(f"wrote {path}")
         return 0
-    except (ConfigError, OSError, RuntimeError, ValueError) as exc:
+    except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,6 @@ min/max/mean statistics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,40 +27,19 @@ from .linalg import (
 # violation and raises.
 CLIP_TOL = 1e-10
 
-# Entropies this far outside [0, log2(levels)] fail validate_range.
+# Entropies this far outside [0, 1] bits fail check_entropy_range.
 RANGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EntropyTrajectory:
-    """Per-neuron entropy series, one row per sample, in bits."""
-
-    series: np.ndarray
-    levels: int = 2
-
-    def __post_init__(self):
-        arr = np.asarray(self.series, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a (samples, neurons) array, got shape {arr.shape}")
-        object.__setattr__(self, "series", arr)
-
-    @property
-    def n(self) -> int:
-        return self.series.shape[1]
-
-    @property
-    def samples(self) -> int:
-        return self.series.shape[0]
-
-    def validate_range(self) -> "EntropyTrajectory":
-        top = math.log2(self.levels)
-        lo = float(self.series.min(initial=0.0))
-        hi = float(self.series.max(initial=0.0))
-        if lo < -RANGE_TOL or hi > top + RANGE_TOL:
-            raise ValueError(
-                f"entropy values outside [0, log2({self.levels})]: range [{lo!r}, {hi!r}]"
-            )
-        return self
+def check_entropy_range(series) -> np.ndarray:
+    """Validate and return an entropy series of two-level neurons as
+    float64: every value must lie in [0, 1] bits within ``RANGE_TOL``."""
+    arr = np.asarray(series, dtype=np.float64)
+    lo = float(arr.min(initial=0.0))
+    hi = float(arr.max(initial=0.0))
+    if lo < -RANGE_TOL or hi > 1.0 + RANGE_TOL:
+        raise ValueError(f"entropy values outside [0, 1] bits: range [{lo!r}, {hi!r}]")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -143,16 +121,17 @@ def entropy_observer(n: int, l: int = 2):
     return observe
 
 
-def entropy_stats(traj: EntropyTrajectory) -> EntropyStats:
-    """Exact min/max and arithmetic mean per neuron over the window.
+def entropy_stats(series: np.ndarray) -> EntropyStats:
+    """Exact min/max and arithmetic mean per neuron over a ``(samples,
+    neurons)`` window.
 
     Each statistic is one column's own reduction.  On a constant column
     the rounded mean can overshoot the column's value by an ulp, so it
     is clamped to that column's ``[min, max]``.
     """
-    if traj.samples == 0:
+    if len(series) == 0:
         raise ValueError("cannot summarize an empty entropy series")
-    cols = [traj.series[:, k] for k in range(traj.n)]
+    cols = [series[:, k] for k in range(series.shape[1])]
     lo = np.array([c.min() for c in cols])
     hi = np.array([c.max() for c in cols])
     mean = np.clip([c.mean() for c in cols], lo, hi)

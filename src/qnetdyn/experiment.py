@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, check_coherence
-from .entropy import EntropyTrajectory, entropy_observer, entropy_stats
-from .fields import MeanFieldTrajectory, activity_mean_field
+from .entropy import check_entropy_range, entropy_observer, entropy_stats
+from .fields import activity_mean_field, check_activity_bounds
 from .network import QRNNParams, build_qrnn_map, run_trajectory
 from .rqa import (
     check_radii,
@@ -176,19 +176,23 @@ def _observer(name: str):
     return np.copy  # raw-state
 
 
+_CHECKS = {"mean-field": check_activity_bounds, "entropy": check_entropy_range}
+
+
 def _collect(cfg: ExperimentConfig):
-    """Run the trajectory once, recording every requested observer."""
+    """Run the trajectory once, recording every requested observer.
+
+    Each mean-field and entropy series is range-checked here, once,
+    whether or not an analysis reads it.
+    """
     map_ = build_qrnn_map(QRNNParams(cfg.r))
     times = sample_times(cfg)
     observers = [_observer(name) for name in cfg.observers]
     recorded = run_trajectory(map_, cfg.initial_state, times.start, len(times), observers)
-    return dict(zip(cfg.observers, recorded))
-
-
-def _source_points(data, source):
-    if source == "mean-field":
-        return MeanFieldTrajectory(data["mean-field"]).validate_activity_bounds().points
-    return EntropyTrajectory(data["entropy"]).validate_range().series
+    return {
+        name: _CHECKS[name](series) if name in _CHECKS else series
+        for name, series in zip(cfg.observers, recorded)
+    }
 
 
 def _analyses(cfg: ExperimentConfig):
@@ -224,14 +228,13 @@ def _analyses(cfg: ExperimentConfig):
         )
 
     if cfg.stats:
-        stats = entropy_stats(EntropyTrajectory(data["entropy"]))
+        stats = entropy_stats(data["entropy"])
         neurons = zip(*map(_fmt_column, (stats.minimum, stats.maximum, stats.mean)))
         rows = [[str(k), *fields] for k, fields in enumerate(neurons)]
         outputs.append(("entropy_stats.csv", _write_csv, ["neuron", "min", "max", "mean"], rows))
 
     if cfg.recurrence_radii:
-        pts = _source_points(data, cfg.recurrence_source)
-        profiles = diagonal_profiles(pts, cfg.recurrence_radii)
+        profiles = diagonal_profiles(data[cfg.recurrence_source], cfg.recurrence_radii)
         stats_rows = [
             (radius, recurrence_stats(profile))
             for radius, profile in zip(cfg.recurrence_radii, profiles)
@@ -239,19 +242,17 @@ def _analyses(cfg: ExperimentConfig):
         outputs.append(("recurrence_stats.csv", write_recurrence_stats_csv, stats_rows))
 
     if cfg.line_gap_radius is not None:
-        pts = _source_points(data, cfg.line_gap_source)
-        offsets = full_recurrence_offsets(pts, cfg.line_gap_radius)
+        offsets = full_recurrence_offsets(data[cfg.line_gap_source], cfg.line_gap_radius)
         gaps = full_recurrence_line_gaps(offsets)
         outputs.append(("line_gaps.csv", write_line_gap_csv, gaps))
 
     if cfg.spectrum:
-        pts = _source_points(data, cfg.spectrum_source)
+        pts = data[cfg.spectrum_source]
         spectra = [power_spectrum(pts[:, k]) for k in range(N_NEURONS)]
         outputs.append(("spectrum.csv", write_spectrum_csv, spectra))
 
     if cfg.recurrence_plot:
-        pts = _source_points(data, cfg.plot_source)
-        image = render_recurrence_plot(pts, cfg.plot_radius, 0, cfg.plot_window)
+        image = render_recurrence_plot(data[cfg.plot_source], cfg.plot_radius, 0, cfg.plot_window)
         outputs.append(("recurrence_plot.pgm", write_pgm, image))
     return outputs
 

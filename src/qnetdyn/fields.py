@@ -10,7 +10,6 @@ per-site averages along a trajectory embeds the dynamics in R^n.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -49,34 +48,18 @@ class FieldSpec:
         return np.diag(np.asarray(self.coeffs, dtype=np.complex128))
 
 
-@dataclass(frozen=True)
-class MeanFieldTrajectory:
-    """Time-ordered sequence of per-site field averages, one row per
-    sample."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise DimensionError(f"expected a (samples, sites) array, got shape {pts.shape}")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def samples(self) -> int:
-        return self.points.shape[0]
-
-    def validate_activity_bounds(self) -> "MeanFieldTrajectory":
-        """Averages of a {0,1}-spectrum observable must stay in [0, 1]."""
-        lo = float(self.points.min(initial=0.0))
-        hi = float(self.points.max(initial=1.0))
-        if lo < -DRIFT_TOL or hi > 1.0 + DRIFT_TOL:
-            raise ValueError(f"activity averages outside [0, 1]: range [{lo!r}, {hi!r}]")
-        return self
+def check_activity_bounds(points) -> np.ndarray:
+    """Validate and return a ``(samples, sites)`` series of activity
+    averages as float64: averages of a {0,1}-spectrum observable must
+    stay in [0, 1] within ``DRIFT_TOL``."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise DimensionError(f"expected a (samples, sites) array, got shape {pts.shape}")
+    lo = float(pts.min(initial=0.0))
+    hi = float(pts.max(initial=1.0))
+    if lo < -DRIFT_TOL or hi > 1.0 + DRIFT_TOL:
+        raise ValueError(f"activity averages outside [0, 1]: range [{lo!r}, {hi!r}]")
+    return pts
 
 
 def build_field_operator(spec: FieldSpec, k: int, n: int) -> np.ndarray:
@@ -90,19 +73,10 @@ def build_field_operator(spec: FieldSpec, k: int, n: int) -> np.ndarray:
     return tensor_chain(factors)
 
 
-@functools.lru_cache(maxsize=None)
-def _activity_operator_cached(k: int, n: int) -> np.ndarray:
-    op = build_field_operator(FieldSpec(coeffs=(0.0, 1.0)), k, n)
-    op.flags.writeable = False
-    return op
-
-
 def neural_activity_operator(k: int, n: int) -> np.ndarray:
     """Number operator at site k of a two-level network: counts 1 when
-    neuron k fires, 0 otherwise.  Cached per (k, n); treat as read-only."""
-    if not 0 <= k < n:
-        raise ValueError(f"site index {k} outside [0, {n})")
-    return _activity_operator_cached(k, n)
+    neuron k fires, 0 otherwise."""
+    return build_field_operator(FieldSpec(coeffs=(0.0, 1.0)), k, n)
 
 
 def quantum_average(

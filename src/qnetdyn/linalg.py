@@ -66,8 +66,11 @@ def as_state(amps) -> np.ndarray:
     return v
 
 
-def norm(v: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(v.real**2 + v.imag**2)))
+def norm(v: np.ndarray):
+    """Euclidean norm of one state (a float), or of each row of a
+    ``(count, dim)`` block of states (an array)."""
+    nrm = np.sqrt(np.sum(v.real**2 + v.imag**2, axis=-1))
+    return float(nrm) if v.ndim == 1 else nrm
 
 
 def basis_state(digits, l: int) -> np.ndarray:
@@ -194,9 +197,6 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     dim = a.shape[-1]
     batch_shape = a.shape[:-2]
     a = a.reshape(-1, dim, dim).copy()
-    if dim == 1:
-        return a[:, 0, 0].real.reshape(batch_shape + (1,))
-
     mask = ~np.eye(dim, dtype=bool)
     active = np.arange(a.shape[0])
     for _ in range(60):

@@ -25,6 +25,7 @@ from .linalg import (
     as_state,
     check_unitary,
     identity,
+    norm,
     projector,
     tensor_chain,
 )
@@ -125,10 +126,6 @@ class UnitaryNeuralMap:
     topology: NetworkTopology | None
     order: ActivationOrder
     params: Mapping = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def build_conditional_gate(spec: ConditionalGateSpec, topo: NetworkTopology) -> np.ndarray:
@@ -270,7 +267,7 @@ def run_trajectory(
             for i in range(1, count):
                 np.dot(f, block[i - 1], out=block[i])  # the bytes of f @ v, in place
             v = f @ block[-1]
-        drift = np.abs(np.sqrt(np.sum(block.real**2 + block.imag**2, axis=1)) - 1.0)
+        drift = np.abs(norm(block) - 1.0)
         if np.any(drift > DRIFT_TOL):
             raise RuntimeError(f"norm drifted by {drift.max():.3e} during trajectory")
         block.flags.writeable = False

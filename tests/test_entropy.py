@@ -11,7 +11,7 @@ import pytest
 from qnetdyn import linalg
 from qnetdyn.entropy import (
     EntropyStats,
-    EntropyTrajectory,
+    check_entropy_range,
     clip_spectrum,
     entropy_observer,
     entropy_stats,
@@ -164,8 +164,7 @@ def test_two_party_entropies_agree_along_trajectory():
     )
     series = np.asarray(rows)
     assert np.max(np.abs(series[:, 0] - series[:, 1])) < 1e-9
-    traj = EntropyTrajectory(series).validate_range()
-    assert traj.n == 2
+    assert check_entropy_range(series).shape == (300, 2)
 
 
 def test_global_purity_is_conserved():
@@ -196,7 +195,7 @@ def test_stats_of_constant_series():
     # a rounded mean of 0.1 or 1/3 overshoots the value by an ulp; the
     # mean is clamped back to it
     for value, rows in ((0.5, 10), (0.1, 10), (0.1, 30_000), (1 / 3, 30_000)):
-        stats = entropy_stats(EntropyTrajectory(np.full((rows, 2), value)))
+        stats = entropy_stats(np.full((rows, 2), value))
         assert np.array_equal(stats.minimum, [value, value])
         assert np.array_equal(stats.maximum, [value, value])
         assert np.array_equal(stats.mean, [value, value])
@@ -204,17 +203,17 @@ def test_stats_of_constant_series():
 
 def test_stats_ordering_on_random_series():
     rng = np.random.default_rng(43)
-    traj = EntropyTrajectory(rng.uniform(0.0, 1.0, size=(500, 2)))
-    stats = entropy_stats(traj)
+    series = rng.uniform(0.0, 1.0, size=(500, 2))
+    stats = entropy_stats(series)
     assert np.all(stats.minimum <= stats.mean)
     assert np.all(stats.mean <= stats.maximum)
     # each mean is its column's own reduction, bit for bit
-    assert np.array_equal(stats.mean, [traj.series[:, k].mean() for k in range(2)])
+    assert np.array_equal(stats.mean, [series[:, k].mean() for k in range(2)])
 
 
 def test_stats_reject_empty_series():
     with pytest.raises(ValueError):
-        entropy_stats(EntropyTrajectory(np.zeros((0, 2))))
+        entropy_stats(np.zeros((0, 2)))
 
 
 def test_stats_invariant_enforced_at_construction():
@@ -224,6 +223,6 @@ def test_stats_invariant_enforced_at_construction():
 
 def test_trajectory_range_validation():
     with pytest.raises(ValueError):
-        EntropyTrajectory(np.array([[1.5, 0.0]])).validate_range()
+        check_entropy_range(np.array([[1.5, 0.0]]))
     with pytest.raises(ValueError):
-        EntropyTrajectory(np.array([[-0.5, 0.0]])).validate_range()
+        check_entropy_range(np.array([[-0.5, 0.0]]))

@@ -1,5 +1,6 @@
 """Experiment runner and CLI tests on small deterministic runs."""
 
+import csv
 import dataclasses
 import errno
 import hashlib
@@ -198,6 +199,31 @@ def test_failed_run_creates_no_directory(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="spectrum unavailable"):
         run_experiment(cfg, out_dir=tmp_path / "late")
     assert not (tmp_path / "late").exists()
+
+
+@pytest.mark.parametrize(
+    "observer, attribute, fake",
+    [
+        ("entropy", "entropy_observer", lambda n: lambda block: np.full((len(block), n), 1.5)),
+        ("mean-field", "activity_mean_field", lambda v, n: np.full((len(v), n), -0.5)),
+    ],
+)
+def test_recorded_series_is_range_checked_without_a_reader(
+    tmp_path, monkeypatch, observer, attribute, fake
+):
+    # no analysis reads the series: it would only go to series.csv
+    cfg = parse_config(
+        "[network]\nr = 0.55\n\n[initial]\nstate = plus-plus\n\n"
+        f"[run]\ntransient = 3\nsamples = 40\n\n[analyses]\nobservers = {observer}\n"
+    )
+    monkeypatch.setattr(experiment, attribute, fake)
+    with pytest.raises(ValueError, match="outside"):
+        run_experiment(cfg, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+    # a sweep row records the same failure
+    path = run_sweep(cfg, [0.3], tmp_path / "sweep", workers=1)
+    (row,) = list(csv.reader(path.read_text().splitlines()))[1:]
+    assert row[-1].startswith("ValueError: ") and "outside [0, 1]" in row[-1]
 
 
 def test_failed_write_leaves_no_partial_outputs(tmp_path, monkeypatch):

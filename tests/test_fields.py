@@ -8,10 +8,10 @@ import pytest
 from qnetdyn import linalg
 from qnetdyn.fields import (
     FieldSpec,
-    MeanFieldTrajectory,
     activity_amplitude_sum,
     activity_mean_field,
     build_field_operator,
+    check_activity_bounds,
     heisenberg_evolve,
     neural_activity_operator,
     quantum_average,
@@ -92,12 +92,6 @@ def test_activity_operators_commute():
             assert np.array_equal(a @ b, b @ a)
 
 
-def test_cached_activity_operator_is_readonly():
-    op = neural_activity_operator(0, 2)
-    with pytest.raises(ValueError):
-        op[0, 0] = 5.0
-
-
 # ---------------------------------------------------------------------------
 # averages
 
@@ -171,18 +165,14 @@ def test_trajectory_activity_stays_bounded():
         samples=400,
         observers=[lambda v: activity_mean_field(v, 2)],
     )
-    traj = MeanFieldTrajectory(np.asarray(points))
-    traj.validate_activity_bounds()
-    assert traj.n == 2
-    assert traj.samples == 400
+    assert check_activity_bounds(points).shape == (400, 2)
 
 
 def test_mean_field_trajectory_guards():
     with pytest.raises(linalg.DimensionError):
-        MeanFieldTrajectory(np.zeros(5))
-    bad = MeanFieldTrajectory(np.array([[0.5, 1.5]]))
+        check_activity_bounds(np.zeros(5))
     with pytest.raises(ValueError):
-        bad.validate_activity_bounds()
+        check_activity_bounds(np.array([[0.5, 1.5]]))
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,17 @@ def test_uniform_state_is_normalized_product():
     assert np.allclose(v, v[0])
 
 
+def test_norm_of_a_block_equals_per_row_norms():
+    rng = np.random.default_rng(19)
+    for dim in (1, 4, 64):
+        block = rng.normal(size=(7, dim)) + 1j * rng.normal(size=(7, dim))
+        got = linalg.norm(block)
+        assert got.shape == (7,)
+        assert got.tobytes() == np.array([linalg.norm(row) for row in block]).tobytes()
+        assert isinstance(linalg.norm(block[0]), float)
+    assert linalg.norm(block[:0]).shape == (0,)
+
+
 def test_as_state_accepts_and_copies():
     raw = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
     v = linalg.as_state(raw)
@@ -272,6 +283,13 @@ def test_eigenvalues_exact_cases():
     assert np.allclose(linalg.hermitian_eigenvalues(np.eye(5)), np.ones(5), atol=0.0)
     h = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert np.max(np.abs(linalg.hermitian_eigenvalues(h) - [1.0, 3.0])) < 1e-14
+    # one-dimensional members, single or stacked: the real diagonal entry
+    rng = np.random.default_rng(18)
+    for shape in ((1, 1), (5, 1, 1), (0, 1, 1), (3, 4, 1, 1)):
+        h = rng.normal(size=shape).astype(complex)
+        got = linalg.hermitian_eigenvalues(h)
+        assert got.dtype == np.float64 and got.shape == shape[:-1]
+        assert got.tobytes() == h[..., 0].real.tobytes()
 
 
 def test_eigenvalues_reduced_density_spectrum():
