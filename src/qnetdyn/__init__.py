@@ -56,6 +56,7 @@ from .entropy import (
     clip_spectrum,
     entropy_observer,
     entropy_stats,
+    schmidt_entropy,
     site_entropies,
     von_neumann_entropy,
 )

@@ -4,7 +4,9 @@ Each neuron's reduced density follows from a partial trace of the pure
 network state; its von Neumann entropy (base 2, so bits) measures how
 entangled that neuron is with the rest of the network.  Collected per
 iteration this gives one entropy series per neuron, summarized by
-min/max/mean statistics.
+min/max/mean statistics.  A network of two two-level neurons takes no
+partial trace: both reduced states share the Schmidt spectrum of the
+pure state, which has a closed form (Wootters, PRL 80 (1998) 2245).
 """
 
 from __future__ import annotations
@@ -74,6 +76,22 @@ def clip_spectrum(evals: np.ndarray) -> np.ndarray:
     return np.clip(evals, 0.0, 1.0)
 
 
+def _check_unit_trace(trace) -> None:
+    """Raise on the first density trace off 1 by more than ``DRIFT_TOL``."""
+    off = np.abs(trace - 1.0) > DRIFT_TOL
+    if np.any(off):
+        bad = float(np.extract(off, trace)[0])
+        raise ValueError(f"density matrix trace {bad!r} differs from 1 beyond {DRIFT_TOL}")
+
+
+def _spectrum_bits(evals):
+    """-sum(lambda log2 lambda) over the last axis of density spectra, after
+    ``clip_spectrum``, with 0 * log2(0) = 0."""
+    lam = clip_spectrum(evals)
+    # clipped zeros take log2(1) = 0, so they add exactly 0 to the sum
+    return -np.sum(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=-1)
+
+
 def von_neumann_entropy(rho: np.ndarray):
     """Entropy -sum(lambda log2 lambda) of a density matrix, in bits.
 
@@ -86,21 +104,46 @@ def von_neumann_entropy(rho: np.ndarray):
     rho = np.asarray(rho, dtype=np.complex128)
     if not check_hermitian(rho, CONSTRUCTION_TOL):
         raise ValueError("density matrix is not hermitian within 1e-12")
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    off = np.abs(tr - 1.0) > DRIFT_TOL
-    if np.any(off):
-        bad = float(np.extract(off, tr)[0])
-        raise ValueError(f"density matrix trace {bad!r} differs from 1 beyond {DRIFT_TOL}")
-    lam = clip_spectrum(hermitian_eigenvalues(rho))
-    # clipped zeros take log2(1) = 0, so they add exactly 0 to the sum
-    h = -np.sum(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=-1)
+    _check_unit_trace(np.trace(rho, axis1=-2, axis2=-1).real)
+    h = _spectrum_bits(hermitian_eigenvalues(rho))
     return float(h) if rho.ndim == 2 else h
+
+
+def schmidt_entropy(v: np.ndarray):
+    """Entropy, in bits, of either neuron of a pure two-neuron state.
+
+    ``v`` is one state of 4 amplitudes (a float results) or a ``(count,
+    4)`` block.  With n = sum |v_k|^2 and D = |v00 v11 - v01 v10|^2 both
+    reduced spectra are lam- = 2D / (n + sqrt(n^2 - 4D)) and lam+ =
+    (n + sqrt(n^2 - 4D)) / 2, a form that does not cancel when lam- is
+    small.  n^2 - 4D clamps at 0, where rounding near a maximally
+    entangled state takes it below.  n, the trace of either reduced
+    density, must be 1 within ``DRIFT_TOL``.  The spectrum is clipped
+    and summed like ``von_neumann_entropy``'s.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim not in (1, 2) or v.shape[-1] != 4:
+        raise DimensionError(f"state shape {v.shape} is not (4,) or (count, 4)")
+    sq = v.real * v.real + v.imag * v.imag
+    n = ((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3]
+    _check_unit_trace(n)
+    det = v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2]
+    d = det.real * det.real + det.imag * det.imag
+    s = n + np.sqrt(np.maximum(n * n - 4.0 * d, 0.0))
+    h = _spectrum_bits(np.stack([2.0 * d / s, 0.5 * s], axis=-1))
+    return float(h) if v.ndim == 1 else h
 
 
 def site_entropies(v: np.ndarray, n: int, l: int = 2) -> np.ndarray:
     """Entropy of each neuron's reduced state: shape ``(n,)`` for one pure
-    state, ``(count, n)`` for a ``(count, l**n)`` block of states."""
+    state, ``(count, n)`` for a ``(count, l**n)`` block of states.
+
+    Two two-level neurons take ``schmidt_entropy``, so both columns are
+    bit-equal; other shapes diagonalize each partial trace."""
     v = np.asarray(v)
+    if (n, l) == (2, 2):
+        h = np.asarray(schmidt_entropy(v))
+        return np.stack([h, h], axis=-1)
     batch = v.ndim == 2
     return np.stack(
         [

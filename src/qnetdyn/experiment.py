@@ -32,6 +32,7 @@ from .config import ExperimentConfig, check_coherence
 from .entropy import check_entropy_range, entropy_observer, entropy_stats
 from .fields import activity_mean_field, check_activity_bounds
 from .network import QRNNParams, build_qrnn_map, run_trajectory
+from .rqa import _kernels_py
 from .rqa import (
     check_radii,
     diagonal_profile,  # noqa: F401  unused; perfbench/layers.py wraps this attribute
@@ -89,9 +90,10 @@ def _fmt(x) -> str:
     return "-" if x is None else repr(float(x))
 
 
-def _fmt_column(column):
-    """_fmt of every value of a float array, without a call per value."""
-    return map(repr, column.tolist())
+def _fmt_column(column) -> list:
+    """repr of every value of an int or float array, in one repr call."""
+    text = repr(np.asarray(column).tolist())[1:-1]
+    return text.split(", ") if text else []  # "".split(", ") is [""]
 
 
 def _write_bytes(path, data: bytes) -> str:
@@ -107,6 +109,15 @@ def _write_csv(path, header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return _write_bytes(path, buf.getvalue().encode())
+
+
+def _write_columns(path, header, columns) -> str:
+    """Write a header and equal-length int or float columns; return the
+    SHA-256.  Each column is formatted in one call, and the bytes are
+    those of ``_write_csv``: no header name or number needs quoting."""
+    rows = zip(*map(_fmt_column, columns))
+    lines = [",".join(header), *map(",".join, rows)]
+    return _write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_recurrence_stats_csv(path, rows) -> str:
@@ -144,8 +155,7 @@ def write_spectrum_csv(path, periodograms) -> str:
         if not np.array_equal(p.frequencies, base):
             raise ValueError("periodograms use different frequency grids")
     header = ["frequency"] + [f"power_neuron{k}" for k in range(len(periodograms))]
-    columns = [base] + [p.power for p in periodograms]
-    return _write_csv(path, header, zip(*map(_fmt_column, columns)))
+    return _write_columns(path, header, [base] + [p.power for p in periodograms])
 
 
 def write_pgm(path, image) -> str:
@@ -204,21 +214,21 @@ def _analyses(cfg: ExperimentConfig):
     data = _collect(cfg)
     times = sample_times(cfg)
     header = ["t"]
-    columns = [map(str, times)]
+    columns = [times]
     for observer, label in (("mean-field", "activity"), ("entropy", "entropy")):
         if observer in data:
             header += [f"{label}_{k}" for k in range(N_NEURONS)]
-            columns += [_fmt_column(data[observer][:, k]) for k in range(N_NEURONS)]
-    outputs = [("series.csv", _write_csv, header, zip(*columns))]
+            columns += [data[observer][:, k] for k in range(N_NEURONS)]
+    outputs = [("series.csv", _write_columns, header, columns)]
 
     if "raw-state" in data:
         states = data["raw-state"]
         header = ["t"]
-        columns = [map(str, times)]
+        columns = [times]
         for k in range(states.shape[1]):
             header += [f"re_{k}", f"im_{k}"]
-            columns += [_fmt_column(states[:, k].real), _fmt_column(states[:, k].imag)]
-        outputs.append(("state.csv", _write_csv, header, zip(*columns)))
+            columns += [states[:, k].real, states[:, k].imag]
+        outputs.append(("state.csv", _write_columns, header, columns))
 
     if cfg.correlation:
         mf = data["mean-field"]
@@ -350,7 +360,13 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=(0.1,)
     # a fork pool starts all max_workers processes up front
     workers = min(workers, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the workers' recurrence kernels share the CPUs: one thread per CPU in all
+        threads = max(1, _kernels_py.usable_cpus() // workers)
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_kernels_py.set_thread_budget,
+            initargs=(threads,),
+        ) as pool:
             results = list(pool.map(_sweep_row, jobs))
     else:
         results = [_sweep_row(job) for job in jobs]

@@ -27,6 +27,20 @@ HEAD_ROWS = 8
 TILE_PAIRS = 65_536
 
 
+# Threads one recurrence pass may use; None means one per usable CPU.
+_thread_budget = None
+
+
+def set_thread_budget(threads):
+    """Cap the threads of every later recurrence pass in this process.
+
+    Each worker of a sweep's pool sets its share of the CPUs here, so the
+    workers' kernels together run one thread per CPU.
+    """
+    global _thread_budget
+    _thread_budget = threads
+
+
 def usable_cpus():
     """CPUs this process may run on: its affinity set, else the CPU count."""
     try:
@@ -109,8 +123,9 @@ def radius_bucket_counts(points, radii):
     TILE_PAIRS pairs: consecutive diagonals cut to the first one's
     length, whose missing pairs end in +inf points that no finite
     radius covers.  The tiles are dealt out round-robin to one thread
-    per usable CPU; numpy releases the interpreter lock inside each
-    pass, and the counts do not depend on the thread count.
+    per usable CPU, or to as many as ``set_thread_budget`` allows; numpy
+    releases the interpreter lock inside each pass, and the counts do
+    not depend on the thread count.
     """
     n_time, dim = points.shape
     bounds = squared_bounds(radii)
@@ -125,7 +140,7 @@ def radius_bucket_counts(points, radii):
         g = min(max(1, TILE_PAIRS // length), length)
         tiles.append((off, g, length))
         off += g
-    n_threads = min(usable_cpus(), len(tiles))
+    n_threads = min(_thread_budget or usable_cpus(), len(tiles))
     size = max(g * length for _, g, length in tiles)
     # the calling thread allocates every thread's scratch: under glibc, what
     # a worker thread allocates stays resident in its malloc arena after it

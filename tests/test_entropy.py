@@ -2,8 +2,12 @@
 
 The numeric oracle for the mixed-density example was computed with
 60-digit decimal arithmetic; the spectrum oracle is the closed form for
-2 x 2 densities.
+2 x 2 densities.  The two-neuron closed form is checked against a
+50-digit decimal evaluation of the same spectrum and against eigvalsh
+of each neuron's partial trace.
 """
+
+import decimal
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from qnetdyn.entropy import (
     clip_spectrum,
     entropy_observer,
     entropy_stats,
+    schmidt_entropy,
     site_entropies,
     von_neumann_entropy,
 )
@@ -22,6 +27,13 @@ from qnetdyn.network import QRNNParams, build_qrnn_map, run_trajectory
 
 # -0.9*log2(0.9) - 0.1*log2(0.1), 60-digit decimal evaluation
 ENTROPY_9_1 = 0.468995593589281221253589330383320460097
+
+# Largest |schmidt_entropy - oracle| allowed, in bits.  Against the
+# decimal oracle: a few ulp of the 1-bit scale (5.6e-16 measured).
+# Against eigvalsh: eigvalsh itself errs by about an ulp on an eigenvalue
+# near 0, where lam * log2(lam) is steep (8.7e-15 measured on products).
+SCHMIDT_DECIMAL_TOL = 4e-15
+SCHMIDT_EIGVALSH_TOL = 5e-14
 
 
 def random_state(rng, dim):
@@ -155,6 +167,86 @@ def test_site_entropies_of_a_block_equal_per_state_rows():
         rows = np.array([site_entropies(v, n, l) for v in block])
         assert site_entropies(block, n, l).tobytes() == rows.tobytes()
         assert entropy_observer(n, l)(block).shape == (l**n, n)
+
+
+def decimal_schmidt_entropy(v):
+    """Entropy of the spectrum (n +- sqrt(n^2 - 4D)) / 2 of one state,
+    from the exact values of its doubles in 50-digit decimal arithmetic,
+    clipped to [0, 1] like ``clip_spectrum``."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        re = [decimal.Decimal(float(a.real)) for a in v]
+        im = [decimal.Decimal(float(a.imag)) for a in v]
+        n = sum(x * x + y * y for x, y in zip(re, im))
+        det_re = (re[0] * re[3] - im[0] * im[3]) - (re[1] * re[2] - im[1] * im[2])
+        det_im = (re[0] * im[3] + im[0] * re[3]) - (re[1] * im[2] + im[1] * re[2])
+        root = max(n * n - 4 * (det_re * det_re + det_im * det_im), decimal.Decimal(0)).sqrt()
+        h = decimal.Decimal(0)
+        for lam in ((n - root) / 2, (n + root) / 2):
+            lam = min(max(lam, decimal.Decimal(0)), decimal.Decimal(1))
+            if lam > 0:
+                h -= lam * lam.ln()
+        return float(h / decimal.Decimal(2).ln())
+
+
+def eigvalsh_entropies(v):
+    """Entropy of each neuron from eigvalsh of its own partial trace."""
+    m = v.reshape(2, 2)  # m[s0, s1]
+    out = []
+    for rho in (m @ m.conj().T, m.T @ m.conj()):
+        lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+        out.append(-sum(x * np.log2(x) for x in lam if x > 0.0))
+    return out
+
+
+def schmidt_cases():
+    """Random, product (lam- = 0), Bell-like (n^2 - 4D about 0) and
+    off-norm (n = 1 +- 1e-11) two-neuron states."""
+    rng = np.random.default_rng(45)
+    random = np.array([random_state(rng, 4) for _ in range(200)])
+    factors = [random_state(rng, 2) for _ in range(80)]
+    product = np.array([np.kron(a, b) for a, b in zip(factors[::2], factors[1::2])])
+    product[0] = [1.0, 0.0, 0.0, 0.0]
+    bell = []
+    for i in range(200):
+        p, q = np.exp(2j * np.pi * rng.uniform(size=2))
+        v = np.array([p, 0, 0, q] if i % 2 else [0, p, -q, 0]) / np.sqrt(2)
+        bell.append(v + 1e-9 * (i % 3) * random_state(rng, 4))
+    bell = np.array(bell) / np.linalg.norm(bell, axis=1, keepdims=True)
+    off = np.concatenate([random[:40], product[:10], bell[:40]])
+    off = np.concatenate([off * np.sqrt(1.0 + 1e-11), off * np.sqrt(1.0 - 1e-11)])
+    return {"random": random, "product": product, "bell": bell, "off-norm": off}
+
+
+@pytest.mark.parametrize("kind", ["random", "product", "bell", "off-norm"])
+def test_schmidt_entropy_matches_decimal_and_eigvalsh_oracles(kind):
+    block = schmidt_cases()[kind]
+    got = schmidt_entropy(block)
+    assert got.shape == (len(block),)
+    want = np.array([decimal_schmidt_entropy(v) for v in block])
+    assert np.max(np.abs(got - want)) < SCHMIDT_DECIMAL_TOL
+    eig = np.array([eigvalsh_entropies(v) for v in block])
+    assert np.max(np.abs(got[:, None] - eig)) < SCHMIDT_EIGVALSH_TOL
+    rows = site_entropies(block, 2)
+    assert np.array_equal(rows, np.stack([got, got], axis=1))
+    sq = np.abs(block) ** 2
+    n = sq.sum(axis=1)
+    if kind == "product":
+        assert np.max(got) < SCHMIDT_DECIMAL_TOL and got[0] == 0.0
+    if kind == "bell":
+        det = block[:, 0] * block[:, 3] - block[:, 1] * block[:, 2]
+        # rounding takes n^2 - 4D below 0 on some states: the clamp applies
+        assert np.any(n * n - 4.0 * np.abs(det) ** 2 < 0.0)
+        assert np.min(got) > 1.0 - SCHMIDT_DECIMAL_TOL
+    if kind == "off-norm":
+        assert np.max(np.abs(n - 1.0)) > 5e-12
+
+
+def test_schmidt_entropy_validation():
+    with pytest.raises(ValueError, match="trace 2.0"):
+        schmidt_entropy(np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]))
+    with pytest.raises(linalg.DimensionError):
+        schmidt_entropy(np.ones(8) / np.sqrt(8))
+    assert schmidt_entropy(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
 
 
 def test_two_party_entropies_agree_along_trajectory():

@@ -22,11 +22,8 @@ from qnetdyn.experiment import (
 )
 from qnetdyn.linalg import DRIFT_TOL
 from qnetdyn.network import QRNNParams, build_qrnn_map, run_trajectory
-from qnetdyn.rqa import LineDistanceHistogram, RecurrenceStats
+from qnetdyn.rqa import LineDistanceHistogram, RecurrenceStats, _kernels_py
 from qnetdyn.spectral import power_spectrum
-
-# Largest |entropy_0 - entropy_1| allowed on one pure two-neuron state.
-SCHMIDT_TOL = 1e-14
 
 FULL = """
 [network]
@@ -122,14 +119,16 @@ def test_series_matches_spectral_closed_form(tmp_path, name):
 
 def test_entropy_columns_share_one_schmidt_spectrum(tmp_path):
     # both reduced states of a pure two-neuron state have the same
-    # spectrum, so entropy_0 equals entropy_1 in exact arithmetic; table5
-    # differs by at most 2.6e-15.  A partial trace that gives no neuron's
-    # reduced state breaks this; keeping the other neuron's does not.
+    # spectrum, so the run computes one entropy per state from it and
+    # writes it to both columns: they are bit-equal.  The run takes no
+    # partial trace, so this cannot catch a wrong partial-trace axis;
+    # tests/test_entropy.py checks the closed form against eigvalsh of
+    # each neuron's partial trace.
     cfg = load_preset("table5")
     run_experiment(cfg, out_dir=tmp_path)
     series = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)
     assert series.shape == (cfg.samples, 3)
-    assert np.max(np.abs(series[:, 1] - series[:, 2])) < SCHMIDT_TOL
+    assert np.array_equal(series[:, 1], series[:, 2])
     assert np.max(series[:, 1]) > 0.5  # the bound is not met by zeros alone
 
 
@@ -360,6 +359,34 @@ def test_spectrum_csv_layout(tmp_path):
         write_spectrum_csv(path, [pa, power_spectrum(rng.random(100))])
 
 
+# doubles whose repr takes each form: special values, a signed zero, the
+# smallest subnormal, exponent notation at both ends and a rounded sum
+PIN_VALUES = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, -1.5]
+
+
+def test_column_formatter_matches_repr_value_for_value():
+    for column in (np.array(PIN_VALUES), np.array(PIN_VALUES)[::-3], np.arange(-2, 3)):
+        assert experiment._fmt_column(column) == [repr(x) for x in column.tolist()]
+    for value in PIN_VALUES:
+        assert experiment._fmt_column(np.array([value])) == [repr(value)]
+    # repr([])[1:-1].split(", ") would give [""], one empty field
+    assert experiment._fmt_column(np.array([])) == []
+
+
+def test_column_writer_writes_the_bytes_of_the_csv_module(tmp_path):
+    values = np.array(PIN_VALUES)
+    for columns in (
+        [np.arange(3, 3 + len(values)), values, values[::-1]],
+        [np.arange(0), np.array([]), np.array([])],
+    ):
+        header = ["t", "a_0", "a_1"]
+        fast = experiment._write_columns(tmp_path / "fast.csv", header, columns)
+        rows = zip(*[map(repr, c.tolist()) for c in columns])
+        slow = experiment._write_csv(tmp_path / "slow.csv", header, rows)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+        assert fast == slow == hashlib.sha256((tmp_path / "fast.csv").read_bytes()).hexdigest()
+
+
 def test_sweep_rows_and_error_capture(tmp_path, monkeypatch):
     base = parse_config(FULL.replace("samples = 60", "samples = 40"))
     path = run_sweep(base, [0.0, 0.3, 1.0], tmp_path, radii=(0.05, 0.2))
@@ -436,10 +463,15 @@ def test_sweep_pool_capped_at_row_count(tmp_path, monkeypatch):
     pools = []
 
     class SerialPool:
-        """Records the pool size and maps in this process."""
+        """Records the pool size and the kernel thread budget that its
+        initializer sets, runs the initializer once as a worker would, and
+        maps in this process."""
 
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+        def __init__(self, max_workers, initializer, initargs):
+            assert initializer is _kernels_py.set_thread_budget
+            (budget,) = initargs
+            pools.append((max_workers, budget))
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -451,17 +483,26 @@ def test_sweep_pool_capped_at_row_count(tmp_path, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(_kernels_py, "_thread_budget", None)
+    cpus = [8]
+    monkeypatch.setattr(_kernels_py, "usable_cpus", lambda: cpus[0])
     base = parse_config(FULL.replace("samples = 60", "samples = 40"))
     serial = run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "s", workers=1)
     assert pools == []
     capped = run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "p", workers=5000)
-    assert pools == [3]
+    # 8 CPUs over 3 workers: 2 kernel threads each
+    assert pools == [(3, 2)]
+    assert _kernels_py._thread_budget == 2
     assert capped.read_bytes() == serial.read_bytes()
     run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "two", workers=2)
-    assert pools == [3, 2]
+    assert pools == [(3, 2), (2, 4)]
+    # more workers than CPUs: each still gets one thread
+    cpus[0] = 2
+    run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "three", workers=3)
+    assert pools == [(3, 2), (2, 4), (3, 1)]
     # one row runs without a pool
     run_sweep(base, [0.5], tmp_path / "one", workers=5000)
-    assert pools == [3, 2]
+    assert len(pools) == 3
 
 
 def test_cli_run_and_presets(tmp_path, capsys):
