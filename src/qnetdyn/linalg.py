@@ -21,9 +21,6 @@ import numpy as np
 CONSTRUCTION_TOL = 1e-12
 DRIFT_TOL = 1e-10
 
-# Jacobi sweeps stop once a matrix's off-diagonal Frobenius mass is below this.
-JACOBI_OFF_TOL = 1e-14
-
 # Dense simulation is exponential in site count; refuse anything above this.
 MAX_DIMENSION = 2**20
 
@@ -181,80 +178,10 @@ def partial_trace_keep_site(
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a hermitian matrix, ascending.
 
-    The input must be hermitian within ``DRIFT_TOL``.  Cyclic Jacobi
-    rotations, swept until the off-diagonal Frobenius mass drops below
-    ``JACOBI_OFF_TOL``.  Intended for the small matrices this package
-    works with (dim <= 64); robustness matters more than speed here.
-
-    Leading batch axes are allowed: every member gets the same sweeps
-    until its own off-diagonal mass is below ``JACOBI_OFF_TOL`` and is
-    left untouched after that, so a member's eigenvalues do not depend
-    on the batch it came in.
+    The input must be hermitian within ``DRIFT_TOL``.  Leading batch axes
+    are allowed; the result then has one ascending row per member.
     """
     a = np.asarray(m, dtype=np.complex128)
     if not check_hermitian(a, DRIFT_TOL):
         raise ValueError(f"matrix is not hermitian within {DRIFT_TOL}")
-    dim = a.shape[-1]
-    batch_shape = a.shape[:-2]
-    a = a.reshape(-1, dim, dim).copy()
-    mask = ~np.eye(dim, dtype=bool)
-    active = np.arange(a.shape[0])
-    for _ in range(60):
-        # Summed directly over off-diagonal entries; subtracting the diagonal
-        # mass from the total cancels catastrophically near convergence.
-        off = np.sqrt(np.sum(np.abs(a[active][:, mask]) ** 2, axis=1))
-        active = active[~(off < JACOBI_OFF_TOL)]
-        if active.size == 0:
-            break
-        members = a[active]
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                _jacobi_rotate(members, p, q)
-        a[active] = members
-    else:
-        raise RuntimeError("Jacobi sweep limit reached without convergence")
-    evals = np.sort(np.diagonal(a, axis1=1, axis2=2).real, axis=1)
-    return evals.reshape(batch_shape + (dim,))
-
-
-def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
-    """Zero out a[:, p, q] (and a[:, q, p]) of every member of a stack with
-    a unitary plane rotation, in place; members whose pivot is already 0
-    are skipped."""
-    apq = a[:, p, q]
-    # hypot rounds like abs() of one complex number; np.abs of a complex
-    # array may differ from it in the last bit
-    g = np.hypot(apq.real, apq.imag)
-    idx = np.flatnonzero(g != 0.0)
-    if idx.size == 0:
-        return
-    g = g[idx]
-    # Phase factor folds the complex pivot into a real rotation problem:
-    # the zeroing condition becomes tan(2*theta) = 2g / (alpha - beta).
-    u = apq[idx] / g
-    alpha = a[idx, p, p].real
-    beta = a[idx, q, q].real
-    phi = (alpha - beta) / (2.0 * g)
-    # phi*phi overflows beyond 1e150; there t -> 1/(2*phi) asymptotically.
-    huge = np.abs(phi) > 1e150
-    tame = np.where(huge, 0.0, phi)
-    root = np.sqrt(1.0 + tame * tame)
-    t = np.where(tame >= 0.0, 1.0, -1.0) / (np.abs(tame) + root)
-    t[huge] = 1.0 / (2.0 * phi[huge])
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    su = (s * u)[:, None]
-    c = c[:, None]
-    # Columns: A <- A J with J[p,p]=J[q,q]=c, J[q,p]=s*conj(u), J[p,q]=-s*u.
-    col_p = a[idx, :, p]
-    col_q = a[idx, :, q]
-    a[idx, :, p] = c * col_p + np.conj(su) * col_q
-    a[idx, :, q] = -su * col_p + c * col_q
-    # Rows: A <- J^dag A.
-    row_p = a[idx, p, :]
-    row_q = a[idx, q, :]
-    a[idx, p, :] = c * row_p + su * row_q
-    a[idx, q, :] = -np.conj(su) * row_p + c * row_q
-    a[idx, p, q] = 0.0
-    a[idx, q, p] = 0.0
+    return np.linalg.eigvalsh(a)

@@ -120,11 +120,9 @@ class QRNNParams:
 
 @dataclass(frozen=True)
 class UnitaryNeuralMap:
-    """A composed neural map: the full-space unitary plus its provenance."""
+    """A composed neural map: the full-space unitary and its parameters."""
 
     matrix: np.ndarray
-    topology: NetworkTopology | None
-    order: ActivationOrder
     params: Mapping = field(default_factory=dict)
 
 
@@ -179,7 +177,6 @@ def build_conditional_gate(spec: ConditionalGateSpec, topo: NetworkTopology) -> 
 def compose_neural_map(
     gates: Sequence[np.ndarray],
     order: ActivationOrder,
-    topology: NetworkTopology | None = None,
     params: Mapping | None = None,
 ) -> UnitaryNeuralMap:
     """Multiply per-neuron gates into the map F = U_{p(n-1)} ... U_{p(0)}.
@@ -201,7 +198,7 @@ def compose_neural_map(
         f = gates[k] @ f
     if not check_unitary(f, DRIFT_TOL):
         raise RuntimeError("composed neural map failed its unitarity check")
-    return UnitaryNeuralMap(matrix=f, topology=topology, order=order, params=dict(params or {}))
+    return UnitaryNeuralMap(matrix=f, params=dict(params or {}))
 
 
 def qrnn_rotation(r: float) -> np.ndarray:
@@ -229,7 +226,7 @@ def build_qrnn_map(params: QRNNParams) -> UnitaryNeuralMap:
     gate0 = build_conditional_gate(ConditionalGateSpec(target=0, inputs=(1,), table=table), topo)
     gate1 = build_conditional_gate(ConditionalGateSpec(target=1, inputs=(0,), table=table), topo)
     order = ActivationOrder(perm=(1, 0))
-    return compose_neural_map([gate0, gate1], order, topology=topo, params={"r": params.r})
+    return compose_neural_map([gate0, gate1], order, params={"r": params.r})
 
 
 def run_trajectory(

@@ -49,10 +49,6 @@ class Periodogram:
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "power", power)
 
-    @property
-    def bins(self) -> int:
-        return self.frequencies.size
-
 
 def power_spectrum(series) -> Periodogram:
     """Periodogram of a real series with the mean bin removed.

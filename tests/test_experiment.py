@@ -345,7 +345,7 @@ def test_spectrum_csv_layout(tmp_path):
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     lines = path.read_text().splitlines()
     assert lines[0] == "frequency,power_neuron0,power_neuron1"
-    assert len(lines) == 1 + pa.bins
+    assert len(lines) == 1 + pa.frequencies.size
     first = lines[1].split(",")
     assert float(first[0]) == pa.frequencies[0]
     assert float(first[1]) == pa.power[0]

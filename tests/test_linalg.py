@@ -42,6 +42,18 @@ def random_hermitian(rng, dim):
     return m + m.conj().T
 
 
+def assert_trace_moments(h, lam):
+    """sum(lam**k) matches tr(H**k) for k = 1..dim, which pins the whole
+    spectrum of a dim x dim hermitian H."""
+    dim = h.shape[0]
+    power = np.eye(dim)
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    for k in range(1, dim + 1):
+        power = power @ h
+        moment = float(np.trace(power).real)
+        assert abs(np.sum(lam**k) - moment) < 1e-9 * scale**k
+
+
 # ---------------------------------------------------------------------------
 # basis indexing
 
@@ -268,12 +280,7 @@ def test_eigenvalues_match_trace_moments():
             h = random_hermitian(rng, dim)
             lam = linalg.hermitian_eigenvalues(h)
             assert np.all(np.diff(lam) >= 0.0)
-            power = np.eye(dim)
-            scale = max(1.0, float(np.max(np.abs(lam))))
-            for k in range(1, dim + 1):
-                power = power @ h
-                moment = float(np.trace(power).real)
-                assert abs(np.sum(lam**k) - moment) < 1e-9 * scale**k
+            assert_trace_moments(h, lam)
 
 
 def test_eigenvalues_exact_cases():
@@ -314,7 +321,7 @@ def test_batched_eigenvalues_equal_per_matrix_loop(dim):
         if kind == 0:
             members.append(random_hermitian(rng, dim))
         elif kind == 1:
-            # already diagonal: converged before the first sweep
+            # already diagonal
             members.append(np.diag(rng.normal(size=dim)).astype(complex))
         elif kind == 2:
             # degenerate: a doubled eigenvalue in a random basis
@@ -330,11 +337,31 @@ def test_batched_eigenvalues_equal_per_matrix_loop(dim):
     loop = np.array([linalg.hermitian_eigenvalues(h) for h in batch])
     assert got.shape == (60, dim)
     assert got.tobytes() == loop.tobytes()
-    assert np.max(np.abs(got - np.linalg.eigvalsh(batch))) < 1e-12
+    for h, lam in zip(batch, got):
+        assert_trace_moments(h, lam)
     # any leading batch shape, and the empty batch
     stacked = linalg.hermitian_eigenvalues(batch.reshape(3, 20, dim, dim))
     assert stacked.tobytes() == got.tobytes()
     assert linalg.hermitian_eigenvalues(batch[:0]).shape == (0, dim)
+
+
+def test_eigenvalues_within_drift_tolerance_of_the_hermitian_part():
+    # an input that passes the DRIFT_TOL guard may be read through one
+    # triangle only; its spectrum must still be the hermitian part's
+    # within dim * DRIFT_TOL
+    rng = np.random.default_rng(19)
+    for dim in range(2, 9):
+        for _ in range(20):
+            h = random_hermitian(rng, dim)
+            noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            skew = 0.5 * (noise - noise.conj().T)
+            # just under DRIFT_TOL / 2, so that rounding in h + noise
+            # keeps the input inside the guard
+            noise *= 0.499 * linalg.DRIFT_TOL / np.max(np.abs(skew))
+            noisy = h + noise
+            part = 0.5 * (noisy + noisy.conj().T)
+            got = linalg.hermitian_eigenvalues(noisy)
+            assert np.max(np.abs(got - np.linalg.eigvalsh(part))) <= dim * linalg.DRIFT_TOL
 
 
 def test_batched_eigenvalues_reject_any_non_hermitian_member():

@@ -407,9 +407,7 @@ def test_trajectory_raises_on_norm_drift():
     base = build_qrnn_map(QRNNParams(0.550129597))
     # the norm grows by 1e-12 per step and crosses the 1e-10 drift bound
     # after about 100 applications
-    leaky = UnitaryNeuralMap(
-        matrix=(1.0 + 1e-12) * base.matrix, topology=None, order=base.order
-    )
+    leaky = UnitaryNeuralMap(matrix=(1.0 + 1e-12) * base.matrix)
     v0 = linalg.uniform_state(2, 2)
     (short,) = run_trajectory(leaky, v0, 0, 50, [np.copy])
     assert short.shape == (50, 4)

@@ -40,11 +40,11 @@ def test_short_series_rejected():
 
 def test_frequency_grid():
     p = power_spectrum(np.random.default_rng(0).random(101))
-    assert p.bins == 50
+    assert p.frequencies.size == 50
     assert abs(p.frequencies[0] - 1 / 101) < 1e-15
     assert p.frequencies[-1] <= 0.5
     p2 = power_spectrum(np.random.default_rng(0).random(100))
-    assert p2.bins == 50
+    assert p2.frequencies.size == 50
     assert p2.frequencies[-1] == 0.5
 
 
@@ -54,7 +54,7 @@ def test_parseval():
         x = rng.random(n) * 3.0 - 1.0
         p = power_spectrum(x)
         # one-sided sum: double every bin except Nyquist when n is even
-        weights = np.full(p.bins, 2.0)
+        weights = np.full(p.frequencies.size, 2.0)
         if n % 2 == 0:
             weights[-1] = 1.0
         total = float(np.sum(weights * p.power))
