@@ -28,7 +28,6 @@ from .linalg import (
 )
 from .network import (
     ActivationOrder,
-    ConditionalGateSpec,
     NetworkTopology,
     QRNNParams,
     UnitaryNeuralMap,

@@ -47,7 +47,6 @@ class ExperimentConfig:
     transient: int
     samples: int
     observers: tuple = ()
-    topology: str = "qrnn"
     correlation: bool = False
     stats: bool = False
     spectrum: bool = False
@@ -152,13 +151,11 @@ def _boolean(raw):
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def _choice(choices, raw):
-    if raw not in choices:
-        raise ValueError(f"{raw!r} not one of {choices}")
+def _source(raw):
+    sources = ("mean-field", "entropy")
+    if raw not in sources:
+        raise ValueError(f"{raw!r} not one of {sources}")
     return raw
-
-
-_source = partial(_choice, ("mean-field", "entropy"))
 
 
 def _observers(raw):
@@ -186,7 +183,6 @@ def _radius(raw):
 # with no switch is always echoed.  A key is required when its field has
 # no default.
 _KEYS = (
-    ("network", "topology", "topology", partial(_choice, ("qrnn",)), None),
     ("network", "r", "r", lambda raw: QRNNParams(float(raw)).r, None),
     ("initial", "state", "initial_label", str, None),
     ("run", "transient", "transient", partial(_count, 0), None),

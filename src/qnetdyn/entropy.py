@@ -39,7 +39,7 @@ def check_entropy_range(series) -> np.ndarray:
     arr = np.asarray(series, dtype=np.float64)
     lo = float(arr.min(initial=0.0))
     hi = float(arr.max(initial=0.0))
-    if lo < -RANGE_TOL or hi > 1.0 + RANGE_TOL:
+    if not (-RANGE_TOL <= lo and hi <= 1.0 + RANGE_TOL):  # NaN fails too
         raise ValueError(f"entropy values outside [0, 1] bits: range [{lo!r}, {hi!r}]")
     return arr
 
@@ -65,10 +65,10 @@ def clip_spectrum(evals: np.ndarray) -> np.ndarray:
     """Clamp rounding noise at the [0, 1] boundaries of a density spectrum.
 
     Values in [-CLIP_TOL, 0) become 0, values in (1, 1+CLIP_TOL] become 1;
-    values further out raise.
+    values further out, or NaN, raise.
     """
     evals = np.asarray(evals, dtype=np.float64)
-    if evals.size and (evals.min() < -CLIP_TOL or evals.max() > 1.0 + CLIP_TOL):
+    if evals.size and not (-CLIP_TOL <= evals.min() and evals.max() <= 1.0 + CLIP_TOL):
         raise ValueError(
             f"density eigenvalues outside [-{CLIP_TOL}, 1+{CLIP_TOL}]: "
             f"[{evals.min()!r}, {evals.max()!r}]"
@@ -77,10 +77,11 @@ def clip_spectrum(evals: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_trace(trace) -> None:
-    """Raise on the first density trace off 1 by more than ``DRIFT_TOL``."""
-    off = np.abs(trace - 1.0) > DRIFT_TOL
-    if np.any(off):
-        bad = float(np.extract(off, trace)[0])
+    """Raise on the first density trace off 1 by more than ``DRIFT_TOL``,
+    or NaN."""
+    ok = np.abs(trace - 1.0) <= DRIFT_TOL  # NaN fails too
+    if not np.all(ok):
+        bad = float(np.extract(~ok, trace)[0])
         raise ValueError(f"density matrix trace {bad!r} differs from 1 beyond {DRIFT_TOL}")
 
 
@@ -172,6 +173,9 @@ def entropy_stats(series: np.ndarray) -> EntropyStats:
     the rounded mean can overshoot the column's value by an ulp, so it
     is clamped to that column's ``[min, max]``.
     """
+    series = np.asarray(series)
+    if series.ndim != 2:
+        raise DimensionError(f"expected a (samples, neurons) array, got shape {series.shape}")
     if len(series) == 0:
         raise ValueError("cannot summarize an empty entropy series")
     cols = [series[:, k] for k in range(series.shape[1])]

@@ -57,7 +57,7 @@ def check_activity_bounds(points) -> np.ndarray:
         raise DimensionError(f"expected a (samples, sites) array, got shape {pts.shape}")
     lo = float(pts.min(initial=0.0))
     hi = float(pts.max(initial=1.0))
-    if lo < -DRIFT_TOL or hi > 1.0 + DRIFT_TOL:
+    if not (-DRIFT_TOL <= lo and hi <= 1.0 + DRIFT_TOL):  # NaN fails too
         raise ValueError(f"activity averages outside [0, 1]: range [{lo!r}, {hi!r}]")
     return pts
 
@@ -90,7 +90,7 @@ def quantum_average(
     if obs.shape[1] != v.shape[0]:
         raise DimensionError(f"observable dim {obs.shape[1]} != state dim {v.shape[0]}")
     raw = complex(np.vdot(v, obs @ v))
-    if abs(raw.imag) > 1e-8:
+    if not abs(raw.imag) <= 1e-8:  # NaN fails too
         raise ValueError(f"expectation has imaginary residue {raw.imag!r}")
     return raw.real
 

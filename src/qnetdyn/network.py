@@ -75,26 +75,6 @@ class NetworkTopology:
 
 
 @dataclass(frozen=True)
-class ConditionalGateSpec:
-    """Per-neuron gate description.
-
-    ``table`` maps each firing pattern of the input neurons (a tuple,
-    one digit per input in ascending-index order) to the l x l unitary
-    applied at ``target`` for that branch.
-    """
-
-    target: int
-    inputs: tuple
-    table: Mapping
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(
-            self, "table", {tuple(k): np.asarray(v, dtype=np.complex128) for k, v in self.table.items()}
-        )
-
-
-@dataclass(frozen=True)
 class ActivationOrder:
     """Permutation of neuron indices; ``perm[0]`` activates first."""
 
@@ -120,52 +100,49 @@ class QRNNParams:
 
 @dataclass(frozen=True)
 class UnitaryNeuralMap:
-    """A composed neural map: the full-space unitary and its parameters."""
+    """A composed neural map: the full-space unitary."""
 
     matrix: np.ndarray
-    params: Mapping = field(default_factory=dict)
 
 
-def build_conditional_gate(spec: ConditionalGateSpec, topo: NetworkTopology) -> np.ndarray:
-    """Full-space unitary for one neuron's conditional gate.
+def build_conditional_gate(topo: NetworkTopology, target: int, table: Mapping) -> np.ndarray:
+    """Full-space unitary for neuron ``target``'s conditional gate.
 
-    Sums, over every input firing pattern, the tensor product with the
-    pattern's projectors at the input sites, the selected unitary at the
-    target site, and identity elsewhere.
+    ``table`` maps each firing pattern of the target's input neurons,
+    ``topo.in_neighbors(target)`` (a tuple with one digit per input, in
+    ascending-index order), to the l x l unitary applied at the target
+    for that branch.  The gate sums, over every pattern, the tensor
+    product with the pattern's projectors at the input sites, the
+    selected unitary at the target site, and identity elsewhere.
     """
     n, l = topo.n, topo.l
-    if not 0 <= spec.target < n:
-        raise ValueError(f"target {spec.target} outside neuron range [0, {n})")
-    expected_inputs = topo.in_neighbors(spec.target)
-    if spec.inputs != expected_inputs:
-        raise ValueError(
-            f"gate inputs {spec.inputs} do not match topology in-neighbors "
-            f"{expected_inputs} of neuron {spec.target}"
-        )
+    if not 0 <= target < n:
+        raise ValueError(f"target {target} outside neuron range [0, {n})")
+    inputs = topo.in_neighbors(target)
+    table = {tuple(k): np.asarray(v, dtype=np.complex128) for k, v in table.items()}
 
-    patterns = set(itertools.product(range(l), repeat=len(spec.inputs)))
-    if set(spec.table) != patterns:
-        missing = sorted(patterns - set(spec.table))
-        extra = sorted(set(spec.table) - patterns)
+    patterns = set(itertools.product(range(l), repeat=len(inputs)))
+    if set(table) != patterns:
+        missing = sorted(patterns - set(table))
+        extra = sorted(set(table) - patterns)
         raise ValueError(
             f"gate table must cover each input pattern exactly once "
             f"(missing {missing}, unexpected {extra})"
         )
-    for pattern, u in spec.table.items():
+    for pattern, u in table.items():
         if u.shape != (l, l):
             raise DimensionError(f"table entry for {pattern} has shape {u.shape}, want ({l}, {l})")
         if not check_unitary(u, CONSTRUCTION_TOL):
             raise ValueError(f"table entry for pattern {pattern} is not unitary within 1e-12")
 
     gate = np.zeros((topo.dim, topo.dim), dtype=np.complex128)
-    for pattern in sorted(spec.table):
-        branch = spec.table[pattern]
+    for pattern in sorted(table):
         factors = []
         for site in range(n):
-            if site == spec.target:
-                factors.append(branch)
-            elif site in spec.inputs:
-                factors.append(projector(pattern[spec.inputs.index(site)], l))
+            if site == target:
+                factors.append(table[pattern])
+            elif site in inputs:
+                factors.append(projector(pattern[inputs.index(site)], l))
             else:
                 factors.append(identity(l))
         gate += tensor_chain(factors)
@@ -174,11 +151,7 @@ def build_conditional_gate(spec: ConditionalGateSpec, topo: NetworkTopology) -> 
     return gate
 
 
-def compose_neural_map(
-    gates: Sequence[np.ndarray],
-    order: ActivationOrder,
-    params: Mapping | None = None,
-) -> UnitaryNeuralMap:
+def compose_neural_map(gates: Sequence[np.ndarray], order: ActivationOrder) -> UnitaryNeuralMap:
     """Multiply per-neuron gates into the map F = U_{p(n-1)} ... U_{p(0)}.
 
     ``gates[k]`` is neuron k's full-space gate; ``order.perm[0]`` acts
@@ -198,7 +171,7 @@ def compose_neural_map(
         f = gates[k] @ f
     if not check_unitary(f, DRIFT_TOL):
         raise RuntimeError("composed neural map failed its unitarity check")
-    return UnitaryNeuralMap(matrix=f, params=dict(params or {}))
+    return UnitaryNeuralMap(matrix=f)
 
 
 def qrnn_rotation(r: float) -> np.ndarray:
@@ -221,12 +194,9 @@ def build_qrnn_map(params: QRNNParams) -> UnitaryNeuralMap:
     neuron 0.
     """
     topo = qrnn_topology()
-    u_r = qrnn_rotation(params.r)
-    table = {(0,): identity(2), (1,): u_r}
-    gate0 = build_conditional_gate(ConditionalGateSpec(target=0, inputs=(1,), table=table), topo)
-    gate1 = build_conditional_gate(ConditionalGateSpec(target=1, inputs=(0,), table=table), topo)
-    order = ActivationOrder(perm=(1, 0))
-    return compose_neural_map([gate0, gate1], order, params={"r": params.r})
+    table = {(0,): identity(2), (1,): qrnn_rotation(params.r)}
+    gates = [build_conditional_gate(topo, k, table) for k in range(2)]
+    return compose_neural_map(gates, ActivationOrder((1, 0)))
 
 
 def run_trajectory(
@@ -265,7 +235,7 @@ def run_trajectory(
                 np.dot(f, block[i - 1], out=block[i])  # the bytes of f @ v, in place
             v = f @ block[-1]
         drift = np.abs(norm(block) - 1.0)
-        if np.any(drift > DRIFT_TOL):
+        if not np.all(drift <= DRIFT_TOL):  # NaN fails too
             raise RuntimeError(f"norm drifted by {drift.max():.3e} during trajectory")
         block.flags.writeable = False
         for slot, observe in zip(out, observers):

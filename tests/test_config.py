@@ -38,7 +38,6 @@ samples = 10
 def test_minimal_config():
     cfg = parse_config(MINIMAL)
     assert cfg.r == 0.25
-    assert cfg.topology == "qrnn"
     assert cfg.transient == 5
     assert cfg.samples == 10
     assert cfg.observers == ()
@@ -100,6 +99,8 @@ def test_unknown_keys_are_errors():
         parse_config(MINIMAL.replace("r = 0.25", "r = 0.25\nradius = 3"))
     with pytest.raises(ConfigError):
         parse_config(MINIMAL + "\n[analyses]\nobservers = mean-field\nspectrm = yes\n")
+    with pytest.raises(ConfigError, match="unknown key 'topology'"):
+        parse_config(MINIMAL.replace("[network]", "[network]\ntopology = qrnn"))
 
 
 def test_missing_required():
@@ -349,7 +350,6 @@ def test_echo_items_roundtrip():
 
     every_key = """
 [network]
-topology = qrnn
 r = 0.55
 
 [initial]
@@ -378,7 +378,6 @@ plot_source = entropy
 directory = out/every
 """
     assert parse_config(every_key).echo_items() == [
-        ("network.topology", "qrnn"),
         ("network.r", "0.55"),
         ("initial.state", "amplitudes: 0.6, 0, 0, 0.8j"),
         ("initial.amplitudes", "(0.6+0j), 0j, 0j, 0.8j"),

@@ -96,6 +96,11 @@ def test_spectrum_clipping_rules():
     assert von_neumann_entropy(rho) == 0.0
 
 
+def test_spectrum_clipping_rejects_nan():
+    with pytest.raises(ValueError, match="eigenvalues"):
+        clip_spectrum(np.array([np.nan, 0.5]))
+
+
 def test_entropy_matches_closed_form_on_random_densities():
     rng = np.random.default_rng(41)
     for _ in range(100):
@@ -249,6 +254,12 @@ def test_schmidt_entropy_validation():
     assert schmidt_entropy(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
 
 
+def test_schmidt_entropy_rejects_nan_state():
+    block = np.array([[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="trace nan"):
+        schmidt_entropy(block)
+
+
 def test_two_party_entropies_agree_along_trajectory():
     m = build_qrnn_map(QRNNParams(0.47))
     (rows,) = run_trajectory(
@@ -308,6 +319,12 @@ def test_stats_reject_empty_series():
         entropy_stats(np.zeros((0, 2)))
 
 
+def test_stats_reject_series_that_is_not_samples_by_neurons():
+    for series in (np.full(5, 0.5), np.full((5, 2, 1), 0.5), np.float64(0.5)):
+        with pytest.raises(linalg.DimensionError, match="samples, neurons"):
+            entropy_stats(series)
+
+
 def test_stats_invariant_enforced_at_construction():
     with pytest.raises(ValueError):
         EntropyStats(minimum=[0.5], maximum=[0.4], mean=[0.45])
@@ -318,3 +335,8 @@ def test_trajectory_range_validation():
         check_entropy_range(np.array([[1.5, 0.0]]))
     with pytest.raises(ValueError):
         check_entropy_range(np.array([[-0.5, 0.0]]))
+
+
+def test_trajectory_range_rejects_nan():
+    with pytest.raises(ValueError, match="outside"):
+        check_entropy_range(np.array([[0.5, 0.5], [0.5, np.nan]]))

@@ -120,6 +120,11 @@ def test_quantum_average_guards():
         quantum_average(skew, v, herm_tol=10.0)
 
 
+def test_quantum_average_rejects_nan_state():
+    with pytest.raises(ValueError, match="imaginary residue"):
+        quantum_average(neural_activity_operator(0, 2), np.full(4, np.nan))
+
+
 def test_amplitude_sum_matches_operator_path():
     rng = np.random.default_rng(31)
     for n in (1, 2, 3):
@@ -173,6 +178,11 @@ def test_mean_field_trajectory_guards():
         check_activity_bounds(np.zeros(5))
     with pytest.raises(ValueError):
         check_activity_bounds(np.array([[0.5, 1.5]]))
+
+
+def test_activity_bounds_reject_nan():
+    with pytest.raises(ValueError, match="outside"):
+        check_activity_bounds(np.array([[0.5, 0.5], [np.nan, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

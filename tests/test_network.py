@@ -5,6 +5,8 @@ matrices, the composed map, and per-amplitude recursions); those are the
 oracles here, plus structural checks for the general n-neuron builder.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from qnetdyn import linalg
 from qnetdyn.network import (
     BLOCK_SIZE,
     ActivationOrder,
-    ConditionalGateSpec,
     NetworkTopology,
     QRNNParams,
     UnitaryNeuralMap,
@@ -121,8 +122,8 @@ def test_qrnn_gates_match_closed_forms():
     topo = qrnn_topology()
     for r in (0.0, 0.25, 0.550129597, 1.0):
         table = {(0,): linalg.identity(2), (1,): qrnn_rotation(r)}
-        g1 = build_conditional_gate(ConditionalGateSpec(1, (0,), table), topo)
-        g0 = build_conditional_gate(ConditionalGateSpec(0, (1,), table), topo)
+        g1 = build_conditional_gate(topo, 1, table)
+        g0 = build_conditional_gate(topo, 0, table)
         assert np.max(np.abs(g1 - closed_form_gate1(r))) < 1e-15
         assert np.max(np.abs(g0 - closed_form_gate0(r))) < 1e-15
         assert linalg.check_unitary(g0, 1e-12)
@@ -132,14 +133,14 @@ def test_qrnn_gates_match_closed_forms():
 def test_identity_table_gives_identity_gate():
     topo = qrnn_topology()
     table = {(0,): linalg.identity(2), (1,): linalg.identity(2)}
-    g = build_conditional_gate(ConditionalGateSpec(0, (1,), table), topo)
+    g = build_conditional_gate(topo, 0, table)
     assert np.array_equal(g, linalg.identity(4))
 
 
 def test_gate_with_no_inputs_is_local():
     topo = NetworkTopology(n=2, l=2, edges=frozenset())
     u = qrnn_rotation(0.3)
-    g = build_conditional_gate(ConditionalGateSpec(0, (), {(): u}), topo)
+    g = build_conditional_gate(topo, 0, {(): u})
     assert np.array_equal(g, np.kron(u, np.eye(2)))
 
 
@@ -148,7 +149,7 @@ def test_gate_three_site_structure():
     topo = NetworkTopology(n=3, l=2, edges=frozenset({(0, 1), (1, 2), (2, 0)}))
     a = qrnn_rotation(0.2)
     b = qrnn_rotation(0.7)
-    g = build_conditional_gate(ConditionalGateSpec(1, (0,), {(0,): a, (1,): b}), topo)
+    g = build_conditional_gate(topo, 1, {(0,): a, (1,): b})
     p0 = np.diag([1.0, 0.0])
     p1 = np.diag([0.0, 1.0])
     want = np.kron(p0, np.kron(a, np.eye(2))) + np.kron(p1, np.kron(b, np.eye(2)))
@@ -163,7 +164,7 @@ def test_gate_two_input_structure():
         (1, 0): qrnn_rotation(0.6),
         (1, 1): qrnn_rotation(0.9),
     }
-    g = build_conditional_gate(ConditionalGateSpec(2, (0, 1), units), topo)
+    g = build_conditional_gate(topo, 2, units)
     want = np.zeros((8, 8), dtype=np.complex128)
     for (s0, s1), u in units.items():
         pa = np.zeros((2, 2)); pa[s0, s0] = 1.0
@@ -175,15 +176,11 @@ def test_gate_two_input_structure():
 
 def test_gate_rejects_bad_specs():
     topo = qrnn_topology()
-    good = {(0,): linalg.identity(2), (1,): qrnn_rotation(0.4)}
     with pytest.raises(ValueError):
-        # inputs do not match the topology's in-neighbors
-        build_conditional_gate(ConditionalGateSpec(0, (0,), good), topo)
-    with pytest.raises(ValueError):
-        build_conditional_gate(ConditionalGateSpec(0, (1,), {(0,): linalg.identity(2)}), topo)
+        build_conditional_gate(topo, 0, {(0,): linalg.identity(2)})
     bad = {(0,): linalg.identity(2), (1,): np.diag([1.0, 2.0])}
     with pytest.raises(ValueError):
-        build_conditional_gate(ConditionalGateSpec(0, (1,), bad), topo)
+        build_conditional_gate(topo, 0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +192,6 @@ def test_qrnn_map_matches_closed_form():
         m = build_qrnn_map(QRNNParams(r))
         assert np.max(np.abs(m.matrix - closed_form_map(r))) < 1e-12
         assert linalg.check_unitary(m.matrix, 1e-10)
-    assert build_qrnn_map(QRNNParams(0.0)).params["r"] == 0.0
 
 
 def test_qrnn_map_special_points():
@@ -251,11 +247,24 @@ def test_amplitude_recursions():
 def test_activation_order_matters():
     topo = qrnn_topology()
     table = {(0,): linalg.identity(2), (1,): qrnn_rotation(0.37)}
-    g0 = build_conditional_gate(ConditionalGateSpec(0, (1,), table), topo)
-    g1 = build_conditional_gate(ConditionalGateSpec(1, (0,), table), topo)
+    g0 = build_conditional_gate(topo, 0, table)
+    g1 = build_conditional_gate(topo, 1, table)
     first1 = compose_neural_map([g0, g1], ActivationOrder((1, 0))).matrix
     first0 = compose_neural_map([g0, g1], ActivationOrder((0, 1))).matrix
     assert np.max(np.abs(first1 - first0)) > 1e-3
+
+
+def test_readme_ring_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("General `n`-neuron topologies", 1)[1]
+    example = after.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(example, names)
+    gates = names["gates"]
+    # neuron 2 activates first, so its gate sits rightmost
+    want = gates[0] @ gates[1] @ gates[2]
+    assert np.max(np.abs(names["map_"].matrix - want)) < 1e-15
+    assert names["states"].shape == (100, 8)
 
 
 def test_compose_single_gate():
@@ -417,4 +426,12 @@ def test_trajectory_raises_on_norm_drift():
     assert blocks == []
     with pytest.raises(RuntimeError, match="norm drifted"):
         run_trajectory(leaky, v0, BLOCK_SIZE, 10, [blocks.append])
+    assert blocks == []
+
+
+def test_trajectory_raises_on_nan_norm():
+    nan_map = UnitaryNeuralMap(matrix=np.full((4, 4), np.nan))
+    blocks = []
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        run_trajectory(nan_map, linalg.uniform_state(2, 2), 0, 10, [blocks.append])
     assert blocks == []
