@@ -23,7 +23,6 @@ from .linalg import (
     partial_trace_keep_site,
     projector,
     tensor_chain,
-    tensor_product,
     uniform_state,
 )
 from .network import (

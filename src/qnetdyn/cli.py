@@ -44,8 +44,8 @@ def _build_parser():
     sweep_p.add_argument("--out", default="out")
     sweep_p.add_argument(
         "--radius-list",
-        default="0.1",
-        help="radii for the per-row recurrence probability columns",
+        help="radii for the per-row recurrence probability columns "
+        "(default: the base config's recurrence_radii, else 0.1)",
     )
 
     sub.add_parser("presets", help="list bundled run descriptions")
@@ -82,7 +82,9 @@ def main(argv=None) -> int:
         if args.workers < 1:
             parser.error("--workers must be >= 1")
         r_values = np.linspace(args.r_from, args.r_to, args.r_steps)
-        radii = parse_radius_list(args.radius_list, "--radius-list")
+        radii = None
+        if args.radius_list is not None:
+            radii = parse_radius_list(args.radius_list, "--radius-list")
         path = run_sweep(cfg, r_values, args.out, workers=args.workers, radii=radii)
         print(f"wrote {path}")
         return 0

@@ -57,7 +57,8 @@ class EntropyStats:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if not (self.minimum.shape == self.maximum.shape == self.mean.shape):
             raise DimensionError("statistics arrays must share one shape")
-        if np.any(self.minimum > self.mean) or np.any(self.mean > self.maximum):
+        ordered = (self.minimum <= self.mean) & (self.mean <= self.maximum)  # NaN fails too
+        if not np.all(ordered):
             raise ValueError("per-neuron statistics must satisfy min <= mean <= max")
 
 
@@ -145,13 +146,8 @@ def site_entropies(v: np.ndarray, n: int, l: int = 2) -> np.ndarray:
     if (n, l) == (2, 2):
         h = np.asarray(schmidt_entropy(v))
         return np.stack([h, h], axis=-1)
-    batch = v.ndim == 2
     return np.stack(
-        [
-            von_neumann_entropy(partial_trace_keep_site(v, k, n, l, batch=batch))
-            for k in range(n)
-        ],
-        axis=-1,
+        [von_neumann_entropy(partial_trace_keep_site(v, k, n, l)) for k in range(n)], axis=-1
     )
 
 

@@ -333,13 +333,19 @@ def _sweep_row(args):
         return [_fmt(r)], f"{type(exc).__name__}: {exc}"
 
 
-def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=(0.1,)) -> Path:
+def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=None) -> Path:
     """Run one row per r value and write a summary CSV.
 
-    Rows appear in r_values order regardless of completion order; a
-    failing row records its error and does not stop the sweep.  A base
-    config that no row could run on raises before any row runs.
+    Each row reads the base config's initial state, transient, sample
+    count and recurrence source.  Its recurrence probability columns
+    come from ``radii``, else from the base's ``recurrence_radii``, else
+    from the one radius 0.1.  Rows appear in r_values order regardless
+    of completion order; a failing row records its error and does not
+    stop the sweep.  A base config that no row could run on raises
+    before any row runs.
     """
+    if radii is None:
+        radii = base.recurrence_radii or (0.1,)
     radii = tuple(check_radii(radii).tolist())
     labels = [f"recurrence_probability_{radius:g}" for radius in radii]
     if len(set(labels)) != len(labels):
@@ -354,6 +360,7 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=(0.1,)
         correlation=True,
         stats=True,
         recurrence_radii=radii,
+        recurrence_source=base.recurrence_source,
     )
     check_coherence(row_cfg)
     jobs = [(row_cfg, float(r)) for r in r_values]

@@ -12,6 +12,7 @@ check is a bug upstream, not something to renormalize silently.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -118,61 +119,37 @@ def check_hermitian(m: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
 # operations
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor most significant.
-
-    ``(A (x) B)[ia*dB+ib, ja*dB+jb] = A[ia, ja] * B[ib, jb]``.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    for m in (a, b):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"tensor_product needs square operands, got {m.shape}")
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > MAX_DIMENSION:
-        raise DimensionError(
-            f"tensor product dimension {out_dim} exceeds cap {MAX_DIMENSION}"
-        )
-    return np.kron(a, b)
-
-
 def tensor_chain(factors) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence of square matrices."""
-    factors = list(factors)
+    """Left-to-right Kronecker product of square matrices, the left factor
+    most significant: ``(A (x) B)[ia*dB+ib, ja*dB+jb] = A[ia, ja] *
+    B[ib, jb]``.  The product dimension must not exceed ``MAX_DIMENSION``.
+    """
+    factors = [np.asarray(f, dtype=np.complex128) for f in factors]
     if not factors:
         raise ValueError("tensor_chain needs at least one factor")
-    out = np.asarray(factors[0], dtype=np.complex128)
-    for f in factors[1:]:
-        out = tensor_product(out, f)
-    return out
+    for f in factors:
+        if f.ndim != 2 or f.shape[0] != f.shape[1]:
+            raise DimensionError(f"tensor_chain needs square factors, got {f.shape}")
+    out_dim = math.prod(f.shape[0] for f in factors)
+    if out_dim > MAX_DIMENSION:
+        raise DimensionError(f"tensor product dimension {out_dim} exceeds cap {MAX_DIMENSION}")
+    return functools.reduce(np.kron, factors)
 
 
-def partial_trace_keep_site(
-    state_or_rho: np.ndarray, k: int, n: int, l: int, *, batch: bool = False
-) -> np.ndarray:
-    """Reduced l x l density of site ``k``, tracing out all other sites.
+def partial_trace_keep_site(v: np.ndarray, k: int, n: int, l: int) -> np.ndarray:
+    """Reduced l x l density of site ``k`` of a pure state, tracing out all
+    other sites.
 
-    Accepts either a pure-state vector of dimension ``l**n`` or a density
-    matrix of that dimension.  With ``batch`` the input is a
-    ``(count, l**n)`` block of pure states and the result a
-    ``(count, l, l)`` stack; the flag is needed because a square block of
-    states has the shape of a density matrix.
+    A state of shape ``(l**n,)`` gives one ``(l, l)`` density; a
+    ``(count, l**n)`` block of states gives a ``(count, l, l)`` stack.
     """
     if not 0 <= k < n:
         raise ValueError(f"site index {k} outside [0, {n})")
-    dim = l**n
-    arr = np.asarray(state_or_rho, dtype=np.complex128)
-    before, after = l**k, l ** (n - k - 1)
-    if batch or arr.ndim == 1:
-        if arr.ndim != (2 if batch else 1) or arr.shape[-1] != dim:
-            raise DimensionError(f"state shape {arr.shape} does not end in {l}**{n}")
-        m = arr.reshape(-1, before, l, after)
-        rho = np.einsum("cxay,cxby->cab", m, m.conj())
-        return rho if batch else rho[0]
-    if arr.shape != (dim, dim):
-        raise DimensionError(f"density shape {arr.shape} != ({dim}, {dim})")
-    r = arr.reshape(before, l, after, before, l, after)
-    return np.einsum("xayxby->ab", r)
+    arr = np.asarray(v, dtype=np.complex128)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != l**n:
+        raise DimensionError(f"state shape {arr.shape} is not ({l}**{n},) or (count, {l}**{n})")
+    m = arr.reshape(-1, l**k, l, l ** (n - k - 1))
+    return np.einsum("cxay,cxby->cab", m, m.conj()).reshape(arr.shape[:-1] + (l, l))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

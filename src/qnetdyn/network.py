@@ -234,7 +234,8 @@ def run_trajectory(
             for i in range(1, count):
                 np.dot(f, block[i - 1], out=block[i])  # the bytes of f @ v, in place
             v = f @ block[-1]
-        drift = np.abs(norm(block) - 1.0)
+        # with no samples, the state after the transient is checked instead
+        drift = np.abs(norm(block if count else v) - 1.0)
         if not np.all(drift <= DRIFT_TOL):  # NaN fails too
             raise RuntimeError(f"norm drifted by {drift.max():.3e} during trajectory")
         block.flags.writeable = False

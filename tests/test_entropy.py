@@ -330,6 +330,13 @@ def test_stats_invariant_enforced_at_construction():
         EntropyStats(minimum=[0.5], maximum=[0.4], mean=[0.45])
 
 
+def test_stats_reject_nan():
+    with pytest.raises(ValueError, match="min <= mean <= max"):
+        EntropyStats(minimum=[np.nan], maximum=[np.nan], mean=[np.nan])
+    with pytest.raises(ValueError, match="min <= mean <= max"):
+        entropy_stats(np.array([[0.5, 0.5], [0.5, np.nan]]))
+
+
 def test_trajectory_range_validation():
     with pytest.raises(ValueError):
         check_entropy_range(np.array([[1.5, 0.0]]))

@@ -596,6 +596,25 @@ def test_cli_sweep(tmp_path):
     assert not (tmp_path / "one").exists()
 
 
+def test_cli_sweep_keeps_the_base_radii_and_source(tmp_path):
+    cfg_path = tmp_path / "base.cfg"
+    cfg_path.write_text(
+        FULL.replace("samples = 60", "samples = 32").replace(
+            "recurrence_radii = 0, 0.05, 0.2",
+            "recurrence_radii = 0.01, 0.05\nrecurrence_source = entropy",
+        )
+    )
+    out = tmp_path / "sw"
+    argv = ["sweep", str(cfg_path), "--r-from", "0.55", "--r-to", "0.55", "--r-steps", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    header, (row,) = read_csv(out / "sweep.csv")
+    assert header[-3:] == ["recurrence_probability_0.01", "recurrence_probability_0.05", "error"]
+    # the columns hold what a run of the base config writes
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    _, recurrence = read_csv(tmp_path / "run" / "recurrence_stats.csv")
+    assert row[-3:-1] == [stats[1] for stats in recurrence]
+
+
 @pytest.mark.parametrize(
     "r, accepted",
     [

@@ -435,3 +435,6 @@ def test_trajectory_raises_on_nan_norm():
     with pytest.raises(RuntimeError, match="norm drifted"):
         run_trajectory(nan_map, linalg.uniform_state(2, 2), 0, 10, [blocks.append])
     assert blocks == []
+    # with no samples, the state after the transient is checked
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        run_trajectory(nan_map, linalg.uniform_state(2, 2), 5, 0, [np.copy])
