@@ -1,4 +1,4 @@
-"""Numpy kernels for squared pair distances and tiled diagonal recurrence counts.
+"""Numpy kernels for squared pair distances and banded recurrence counts.
 
 Every recurrence output sums squared coordinate differences through
 ``squared_sums`` and compares them with ``squared_bounds``, so the
@@ -9,8 +9,10 @@ sum lies within a bound exactly when its square root lies within the
 radius.
 """
 
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,9 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 # rows leave about 1,200 of 19,999 diagonals, nearly all of them full.
 HEAD_ROWS = 8
 
-# Pairs per tile of diagonals; a 2,000-point sweep row takes 33 tiles, not
-# 1,999 offsets.  At 32,768 two threads gained nothing on table2's pass,
-# because the per-call overhead holds the interpreter lock.
+# Pairs per tile of sorted rows.  At 32,768 table2's pass took a third longer
+# on two threads, because the per-call overhead holds the interpreter lock.
 TILE_PAIRS = 65_536
 
 
@@ -91,24 +92,28 @@ def squared_sums(lead, lag, acc=None, diff=None):
     return acc
 
 
-def _count_tiles(later, rows, bounds, buckets, tiles, scratch):
-    """Bucket the pairs of each ``(off, g, length)`` tile into ``buckets``.
+def _count_tiles(later, rows, times, bounds, buckets, lock, tiles, scratch):
+    """Bucket each ``(s, g, w)`` tile: sorted rows s .. s+g-1, each with its next w.
 
-    A tile writes only its own columns, so tiles may run on any thread
-    in any order.  ``scratch``, two rows of at least the largest tile's
-    size, is this call's own.
+    ``scratch``, two rows of the largest tile's size, is this call's own.
     """
-    n_radii = bounds.shape[0]
-    for off, g, length in tiles:
-        acc, diff = scratch[:, : g * length].reshape(2, g, length)
-        squared_sums([w[off : off + g, :length] for w in later], rows[:, :length], acc, diff)
-        acc = acc.ravel()
+    later_times = sliding_window_view(times, later[0].shape[1])
+    for s, g, w in tiles:
+        acc, diff = scratch[:, : g * w]
+        lead = [v[s + 1 : s + 1 + g, :w] for v in later]
+        squared_sums(lead, rows[:, s : s + g, None], acc.reshape(g, w), diff.reshape(g, w))
         pos = np.flatnonzero(acc <= bounds[-1])
+        hits = np.take(acc, pos, out=diff[: pos.size], mode="clip")
         # side="left": first bound >= acc, so ties land inside (closed ball)
-        idx = np.searchsorted(bounds, acc[pos], side="left")
-        idx += pos // length * n_radii  # the pair's diagonal within the tile
-        tile = np.bincount(idx, minlength=g * n_radii).reshape(g, n_radii)
-        buckets[:, off - 1 : off - 1 + g] = tile.T
+        idx = np.searchsorted(bounds, hits, side="left")
+        idx *= buckets.shape[1]
+        # the sums are spent: the scratch takes each pair's time offset, its column
+        gaps = acc.view(np.int32)[: g * w].reshape(g, w)
+        np.subtract(later_times[s + 1 : s + 1 + g, :w], times[s : s + g, None], out=gaps)
+        offsets = np.take(gaps, pos, out=diff.view(np.int32)[: pos.size], mode="clip")
+        idx += np.abs(offsets, out=offsets)
+        with lock:  # the one histogram is shared
+            np.add.at(buckets.reshape(-1), idx, 1)
 
 
 def radius_bucket_counts(points, radii):
@@ -119,40 +124,58 @@ def radius_bucket_counts(points, radii):
     whose smallest covering radius is radii[k] (closed threshold).
     Pairs farther than radii[-1] are dropped before they are bucketed.
     Cumulative sums over the radius axis therefore give per-radius
-    recurrence counts.  Each numpy pass measures a tile of about
-    TILE_PAIRS pairs: consecutive diagonals cut to the first one's
-    length, whose missing pairs end in +inf points that no finite
-    radius covers.  The tiles are dealt out round-robin to one thread
-    per usable CPU, or to as many as ``set_thread_budget`` allows; numpy
-    releases the interpreter lock inside each pass, and the counts do
-    not depend on the thread count.
+    recurrence counts.  Only a band is measured: sorted once on the
+    first coordinate, point s meets the later points whose first term
+    of ``squared_sums`` alone is within radii[-1], as no rounded sum of
+    squares is below one of its terms.  Each numpy pass measures a tile
+    of consecutive sorted rows holding at most TILE_PAIRS pairs (or one
+    longer row), each cut to the tile's widest band: pairs past a row's
+    band, and +inf points past the last one, exceed every bound.  The
+    tiles are dealt out round-robin to one thread per usable CPU, or to
+    as many as ``set_thread_budget`` allows; numpy releases the
+    interpreter lock inside each pass, and the counts do not depend on
+    the thread count.
     """
     n_time, dim = points.shape
     bounds = squared_bounds(radii)
-    buckets = np.zeros((bounds.shape[0], n_time - 1), dtype=np.int64)
-    rows = np.full((dim, 2 * n_time - 1), np.inf)  # one contiguous row per coordinate
-    rows[:, :n_time] = points.T
-    later = [sliding_window_view(row, n_time) for row in rows]  # [k][d, t]: point d + t
-    tiles = []
-    off = 1
-    while off < n_time:
-        length = n_time - off
-        g = min(max(1, TILE_PAIRS // length), length)
-        tiles.append((off, g, length))
-        off += g
+    buckets = np.zeros((bounds.shape[0], n_time), dtype=np.int64)  # column d: offset d
+    order = np.argsort(points[:, 0])
+    first = points[order, 0]
+    # bisect for the last row of each band, a run because rounding is monotone
+    lo, hi = np.arange(n_time), np.full(n_time, n_time)
+    for _ in range(n_time.bit_length()):
+        mid = (lo + hi) // 2
+        near = squared_sums([first[mid]], [first]) <= bounds[-1]
+        lo, hi = np.where(near, mid, lo), np.where(near, hi, mid)
+    width = lo - np.arange(n_time)
+    del first, lo, hi, mid, near
+    tiles, s = [], 0
+    while s < n_time - 1:
+        # no tile is narrower than its first row, which caps its row count
+        widest = np.maximum.accumulate(width[s : s + max(1, TILE_PAIRS // max(1, width[s]))])
+        g = max(1, int(np.count_nonzero(widest * np.arange(1, widest.size + 1) <= TILE_PAIRS)))
+        tiles.append((s, g, int(widest[g - 1])))
+        s += g
+    w_max = max(w for _, _, w in tiles)
+    rows = np.full((dim, n_time + w_max), np.inf)  # one contiguous row per sorted coordinate
+    rows[:, :n_time] = points[order].T
+    times = np.pad(order.astype(np.int32), (0, w_max))
+    del order, width
+    later = [sliding_window_view(row, w_max) for row in rows]  # [k][i, c]: sorted point i + c + 1
     n_threads = min(_thread_budget or usable_cpus(), len(tiles))
-    size = max(g * length for _, g, length in tiles)
+    size = max(g * w for _, g, w in tiles)
     # the calling thread allocates every thread's scratch: under glibc, what
     # a worker thread allocates stays resident in its malloc arena after it
     # exits (recurrence-mf's peak RSS grew about 6 MB that way, 3.8 MB this way)
     shares = [(tiles[i::n_threads], np.empty((2, size))) for i in range(n_threads)]
+    count = functools.partial(_count_tiles, later, rows, times, bounds, buckets, threading.Lock())
     if n_threads == 1:
-        _count_tiles(later, rows, bounds, buckets, *shares[0])
+        count(*shares[0])
     else:
         # leaving the block joins every thread, so none outlives the call
         with ThreadPoolExecutor(n_threads) as pool:
-            list(pool.map(lambda share: _count_tiles(later, rows, bounds, buckets, *share), shares))
-    return buckets
+            list(pool.map(lambda share: count(*share), shares))
+    return buckets[:, 1:]
 
 
 def full_diagonals(points, radius):

@@ -3,8 +3,8 @@
 A pair of trajectory points is recurrent when their Euclidean distance is
 at most the configured radius.  The threshold is closed so that exactly
 periodic orbits produce fully recurrent diagonals instead of losing ties
-to rounding.  Profiles are computed per diagonal offset in a single
-streaming pass; the T x T recurrence matrix is never materialized.
+to rounding.  One pass over the band of pairs whose first coordinates
+lie within the largest radius gives every profile; no T x T matrix is built.
 """
 
 from __future__ import annotations
@@ -226,6 +226,8 @@ def pearson_correlation(x, y):
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("correlation needs at least two samples")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("correlation input contains non-finite values")
     # constant series have zero variance even when mean roundoff leaves
     # residuals of order ulp, so test constancy directly
     if np.all(x == x[0]) or np.all(y == y[0]):

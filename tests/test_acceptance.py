@@ -7,6 +7,7 @@ past the dropped transient, so a 10,000-step transient records from
 application 10,001 onward.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -60,6 +61,11 @@ RECURRENCE_SWEEP_TARGETS = [
     (0.09, 0.737737, 0.135577, 0.073946),
     (0.1, 0.941097, 0.123607, 0.064502),
 ]
+# SHA-256 of the 12 cumulative count arrays behind those targets, as
+# little-endian int64 in radius order.  No pair lies within a relative
+# 1e-9 of any radius, so rounding differences between machines cannot
+# move a count.
+RECURRENCE_SWEEP_COUNTS_SHA256 = "b134beec8813c39d2bace75117b843c974e0f7268e0a2822cc65d04d923c7776"
 
 
 def _run(r, state, samples, observers, transient=10001):
@@ -232,13 +238,15 @@ def test_recurrence_statistics_sweep(run_aperiodic):
             abs(s.mean_recurrence_strength - m_t),
             abs(s.conditional_full_recurrence_probability - c_t),
         )
-    ok = worst <= 1e-3 and zero_ok and elapsed < 120.0
+    digest = hashlib.sha256(b"".join(p.counts.astype("<i8").tobytes() for p in profiles))
+    pinned = digest.hexdigest() == RECURRENCE_SWEEP_COUNTS_SHA256
+    ok = worst <= 1e-3 and zero_ok and pinned and elapsed < 120.0
     check(
         6,
         "recurrence statistics sweep",
         ok,
         f"12 radii worst dev {worst:.2e} (tol 1e-3), zero-radius prob exact "
-        f"{zero_ok}, {elapsed:.1f} s (limit 120 s)",
+        f"{zero_ok}, counts match pinned sha256 {pinned}, {elapsed:.1f} s (limit 120 s)",
     )
 
 

@@ -5,14 +5,18 @@ the same coordinate accumulation order as the streaming kernel, so the
 streaming profile must match it exactly, not just within tolerance.
 """
 
+import functools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from qnetdyn.fields import activity_mean_field
+from qnetdyn.network import QRNNParams, build_qrnn_map, run_trajectory
 from qnetdyn.rqa import (
     DiagonalProfile,
     LineDistanceHistogram,
@@ -128,14 +132,47 @@ def test_bucket_prefilter_keeps_ties_on_largest_radius():
         assert on_top.sum() > 100
 
 
+def test_band_edges_match_brute_force():
+    # the kernel measures only pairs whose first-coordinate term alone is
+    # within the largest bound; every case on or near that edge must
+    # count exactly as the full distance matrix does
+    rng = np.random.default_rng(2077)
+    cases = []
+    for top in (0.1, 0.125):
+        # first-coordinate gaps of exactly top and one ulp either side,
+        # among points whose other coordinate is 0 or random, shuffled in time
+        gaps = [top, math.nextafter(top, 0.0), math.nextafter(top, math.inf)]
+        edge = [(x, 0.0) for g in gaps for x in (g, -g)] + [(0.0, 0.0)] * 2
+        cloud = rng.random((60, 2)) * 0.3
+        cases.append((rng.permutation(np.concatenate([edge, cloud])), [0.0, 0.5 * top, top]))
+    # repeated points at radius 0: the band is the runs of equal first coordinates
+    cases.append((rng.integers(0, 3, size=(80, 2)).astype(float), [0.0]))
+    # squared differences that underflow to 0 are within any radius
+    tiny = np.array([[0.0, 0.0], [1e-180, 0.0], [0.0, 1e-180], [1.0, 0.0]])
+    cases.append((tiny, [1e-200]))
+    # a radius that covers every pair, and a constant first coordinate:
+    # in both the band is the whole triangle
+    every = rng.random((70, 2))
+    cases.append((every, [0.3, 2.0]))
+    flat = np.column_stack([np.full(70, 0.7), rng.random(70)])
+    cases.append((flat, [0.05, 0.2]))
+    for pts, radii in cases:
+        cumulative = np.cumsum(radius_bucket_counts(pts, np.array(radii)), axis=0)
+        for k, radius in enumerate(radii):
+            assert np.array_equal(cumulative[k], brute_counts(pts, radius))
+    assert brute_counts(tiny, 1e-200).sum() == 3
+    assert np.array_equal(brute_counts(every, 2.0), np.arange(69, 0, -1))
+
+
 @pytest.mark.parametrize("tile_pairs", [1, 2, 7, 64])
 def test_small_tiles_match_brute_force(monkeypatch, tile_pairs):
-    # at n <= 200 the default TILE_PAIRS puts every diagonal of the two
-    # tests above in one tile; tiny tiles exercise one-diagonal tiles,
-    # ragged last tiles and the seams between tiles
+    # at n <= 200 the default TILE_PAIRS puts every band of the three
+    # tests above in one tile; tiny tiles exercise one-row tiles, rows
+    # longer than a tile, ragged last tiles and the seams between tiles
     monkeypatch.setattr(_kernels_py, "TILE_PAIRS", tile_pairs)
     test_streaming_equals_brute_force()
     test_bucket_prefilter_keeps_ties_on_largest_radius()
+    test_band_edges_match_brute_force()
 
 
 def test_default_tiles_match_brute_force():
@@ -213,11 +250,34 @@ def test_kernel_leaves_no_thread_running(monkeypatch):
     before = threading.active_count()
     radius_bucket_counts(pts, np.array([0.1, 0.3]))
     assert threading.active_count() == before
+    # every pair is in the band of its first coordinates, which the calling
+    # thread squares; the second coordinate overflows only in the tiles
+    overflowing = pts * [0.1, 1e200]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning, match="overflow"):
-            radius_bucket_counts(pts * 1e200, np.array([0.1, 0.3]))
+            radius_bucket_counts(overflowing, np.array([0.1, 0.3]))
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_peak_memory_is_bounded(monkeypatch, threads):
+    # table2's pass over a mean-field trajectory: the traced peak stays
+    # within a small multiple of the output (about 2.5 times on one
+    # thread, 3.5 on two), which a histogram per thread would break
+    monkeypatch.setattr(_kernels_py, "_thread_budget", threads)
+    qrnn = build_qrnn_map(QRNNParams(0.550129597))
+    mean_field = functools.partial(activity_mean_field, n=2)
+    (pts,) = run_trajectory(qrnn, np.full(4, 0.5, dtype=complex), 10001, 20000, [mean_field])
+    radii = np.array([0.0, 0.001, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1])
+    tracemalloc.start()
+    try:
+        buckets = radius_bucket_counts(pts, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert buckets.shape == (12, 19999)
+    assert peak <= 4 * buckets.nbytes
 
 
 def test_full_offsets_query_matches_full_count():
@@ -359,6 +419,11 @@ def test_pearson_examples():
         pearson_correlation(x, y[:50])
     with pytest.raises(ValueError):
         pearson_correlation([1.0], [2.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson_correlation([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson_correlation([1.0, 2.0, 3.0], [1.0, bad, 3.0])
 
 
 def test_render_constant_all_black():
