@@ -39,7 +39,6 @@ from .network import (
 )
 from .fields import (
     FieldSpec,
-    activity_amplitude_sum,
     activity_mean_field,
     build_field_operator,
     check_activity_bounds,

@@ -8,13 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (
-    check_coherence,
-    load_config,
-    load_preset,
-    parse_radius_list,
-    preset_names,
-)
+from .config import load_config, load_preset, parse_radius_list, preset_names
 from .experiment import run_experiment, run_sweep
 from .network import QRNNParams
 
@@ -67,7 +61,6 @@ def main(argv=None) -> int:
             if args.radius_list is not None:
                 radii = parse_radius_list(args.radius_list, "--radius-list")
                 cfg = replace(cfg, recurrence_radii=radii)
-                check_coherence(cfg)
             manifest = run_experiment(cfg, out_dir=args.out)
             print(f"wrote {manifest.directory / 'manifest.txt'}")
             return 0

@@ -2,9 +2,10 @@
 
 Sections are [network], [initial], [run], [analyses], [output].  Unknown
 sections or keys are errors, not warnings, so a typo cannot silently
-disable an analysis.  `#` starts a comment.  This module owns the text
-grammar only: each value is checked by the library code that uses it at
-run time, and every default is ExperimentConfig's.
+disable an analysis.  `#` starts a comment, and a value must fit on one
+line.  This module owns the text grammar and ExperimentConfig, which
+checks its own coherence.  Each value is checked by the library code
+that uses it at run time, and every default is ExperimentConfig's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "parse_radius_list",
-    "check_coherence",
     "load_config",
     "load_preset",
     "preset_names",
@@ -39,7 +39,13 @@ _OBSERVERS = ("mean-field", "entropy", "raw-state")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated description of one deterministic run."""
+    """Description of one deterministic run.
+
+    Construction (``replace`` and ``with_r`` included) checks coherence:
+    every enabled analysis has its source observer recording and enough
+    samples to run on.  Each value is checked by the library code that
+    reads it.
+    """
 
     r: float
     initial_label: str
@@ -60,6 +66,38 @@ class ExperimentConfig:
     plot_window: int = 500
     plot_source: str = "mean-field"
     out_directory: str | None = None
+
+    def __post_init__(self):
+        def need(source, what):
+            if source not in self.observers:
+                raise ConfigError(f"{what} needs the {source!r} observer enabled")
+
+        def at_least(count, what):
+            if self.samples < count:
+                raise ConfigError(f"{what} needs samples >= {count}, got {self.samples}")
+
+        if self.correlation:
+            need("mean-field", "correlation")
+            at_least(2, "correlation")
+        if self.stats:
+            need("entropy", "entropy statistics")
+        if self.spectrum:
+            need(self.spectrum_source, "spectrum")
+            at_least(MIN_SPECTRUM_SAMPLES, "spectrum")
+        if self.recurrence_radii:
+            need(self.recurrence_source, "recurrence statistics")
+            at_least(2, "recurrence statistics")
+        if self.line_gap_radius is not None:
+            need(self.line_gap_source, "line-gap histogram")
+            at_least(2, "line-gap histogram")
+        if self.recurrence_plot:
+            if self.plot_radius is None:
+                raise ConfigError("recurrence_plot needs plot_radius")
+            need(self.plot_source, "recurrence plot")
+            if self.plot_window > self.samples:
+                raise ConfigError(
+                    f"plot_window {self.plot_window} exceeds samples {self.samples}"
+                )
 
     def with_r(self, r: float) -> "ExperimentConfig":
         return replace(self, r=float(r))
@@ -239,51 +277,17 @@ def parse_config(text: str) -> ExperimentConfig:
     values = {}
     for section, key, field, read, _ in _KEYS:
         if parser.has_option(section, key):
-            values[field] = _check(f"field {section}.{key}", read, parser.get(section, key))
+            raw = parser.get(section, key)
+            if "\n" in raw:  # an indented line continues the value before it
+                raise ConfigError(f"field {section}.{key}: a value must fit on one line")
+            values[field] = _check(f"field {section}.{key}", read, raw)
         elif _DEFAULTS[field] is MISSING:
             raise ConfigError(f"missing required key {key!r} in section [{section}]")
     cfg = ExperimentConfig(initial_state=initial_state_vector(values["initial_label"]), **values)
     for section, key, field, _, switch in _KEYS:
         if field in values and switch is not None and not _is_on(cfg, switch):
             raise ConfigError(f"field {section}.{key}: {switch} is off, so it would be ignored")
-    check_coherence(cfg)
     return cfg
-
-
-def check_coherence(cfg: ExperimentConfig) -> None:
-    """Every enabled analysis must have its source observer recording and
-    enough samples to run on."""
-
-    def need(source, what):
-        if source not in cfg.observers:
-            raise ConfigError(f"{what} needs the {source!r} observer enabled")
-
-    def at_least(count, what):
-        if cfg.samples < count:
-            raise ConfigError(f"{what} needs samples >= {count}, got {cfg.samples}")
-
-    if cfg.correlation:
-        need("mean-field", "correlation")
-        at_least(2, "correlation")
-    if cfg.stats:
-        need("entropy", "entropy statistics")
-    if cfg.spectrum:
-        need(cfg.spectrum_source, "spectrum")
-        at_least(MIN_SPECTRUM_SAMPLES, "spectrum")
-    if cfg.recurrence_radii:
-        need(cfg.recurrence_source, "recurrence statistics")
-        at_least(2, "recurrence statistics")
-    if cfg.line_gap_radius is not None:
-        need(cfg.line_gap_source, "line-gap histogram")
-        at_least(2, "line-gap histogram")
-    if cfg.recurrence_plot:
-        if cfg.plot_radius is None:
-            raise ConfigError("recurrence_plot needs plot_radius")
-        need(cfg.plot_source, "recurrence plot")
-        if cfg.plot_window > cfg.samples:
-            raise ConfigError(
-                f"plot_window {cfg.plot_window} exceeds samples {cfg.samples}"
-            )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -302,12 +306,9 @@ def preset_names():
 
 
 def load_preset(name: str) -> ExperimentConfig:
-    root = resources.files("qnetdyn.presets")
-    candidate = root / f"{name}.cfg"
-    try:
-        text = candidate.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from exc
-    return parse_config(text)
+    """The bundled run description ``name``, one of preset_names()."""
+    names = preset_names()
+    if name not in names:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(names)}")
+    path = resources.files("qnetdyn.presets") / f"{name}.cfg"
+    return parse_config(path.read_text(encoding="utf-8"))

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, check_coherence
+from .config import ExperimentConfig
 from .entropy import check_entropy_range, entropy_observer, entropy_stats
 from .fields import activity_mean_field, check_activity_bounds
 from .network import QRNNParams, build_qrnn_map, run_trajectory
@@ -362,7 +362,6 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=None) 
         recurrence_radii=radii,
         recurrence_source=base.recurrence_source,
     )
-    check_coherence(row_cfg)
     jobs = [(row_cfg, float(r)) for r in r_values]
     # a fork pool starts all max_workers processes up front
     workers = min(workers, len(jobs))

@@ -95,27 +95,20 @@ def quantum_average(
     return raw.real
 
 
-def activity_amplitude_sum(v: np.ndarray, k: int, n: int):
-    """Firing probability of neuron k as a direct amplitude sum: the
-    squared moduli of all components whose label has digit 1 at site k.
+def activity_mean_field(v: np.ndarray, n: int) -> np.ndarray:
+    """All n firing probabilities of a state as direct amplitude sums:
+    neuron k's is the sum of the squared moduli of all components whose
+    label has digit 1 at site k.
 
-    One state gives a float; a ``(count, 2**n)`` block of states gives
-    one probability per row.
+    Shape ``(n,)`` for one state, ``(count, n)`` for a block of states.
     """
-    if not 0 <= k < n:
-        raise ValueError(f"site index {k} outside [0, {n})")
     v = np.asarray(v)
     if v.ndim not in (1, 2) or v.shape[-1] != 2**n:
         raise DimensionError(f"state shape {v.shape} does not end in 2**{n}")
     probs = v.real**2 + v.imag**2
-    fired = probs.reshape(-1, 2**k, 2, 2 ** (n - k - 1))[:, :, 1, :].sum(axis=(1, 2))
-    return float(fired[0]) if v.ndim == 1 else fired
-
-
-def activity_mean_field(v: np.ndarray, n: int) -> np.ndarray:
-    """All n firing probabilities of a state via the amplitude-sum path:
-    shape ``(n,)`` for one state, ``(count, n)`` for a block of states."""
-    return np.stack([activity_amplitude_sum(v, k, n) for k in range(n)], axis=-1)
+    sites = [probs.reshape(-1, 2**k, 2, 2 ** (n - k - 1))[:, :, 1, :] for k in range(n)]
+    fired = np.stack([f.sum(axis=(1, 2)) for f in sites], axis=-1)
+    return fired[0] if v.ndim == 1 else fired
 
 
 def heisenberg_evolve(obs: np.ndarray, map_: UnitaryNeuralMap, t: int) -> np.ndarray:

@@ -19,6 +19,9 @@ from ._kernels_py import full_diagonals, radius_bucket_counts, squared_bounds, s
 # Name of the kernel that computes the recurrence counts, for run records.
 KERNEL_BACKEND = "python"
 
+# Rows of the recurrence plot computed at once, which bounds its memory.
+PLOT_CHUNK_ROWS = 512
+
 __all__ = [
     "KERNEL_BACKEND",
     "check_radii",
@@ -241,12 +244,13 @@ def pearson_correlation(x, y):
     return float(np.dot(xc, yc) / math.sqrt(vx * vy))
 
 
-def render_recurrence_plot(traj, radius, start, stop, chunk=512):
+def render_recurrence_plot(traj, radius, start, stop):
     """Rasterize a square viewport of the recurrence matrix.
 
     Pixel value 0 (black) marks a recurrent pair, 255 white; row t' is
-    rendered top-down.  Work proceeds in row chunks so memory stays
-    O(chunk * viewport) instead of the full square.
+    rendered top-down.  Work proceeds in chunks of PLOT_CHUNK_ROWS rows
+    so memory stays O(PLOT_CHUNK_ROWS * viewport) instead of the full
+    square.
     """
     radius = check_radii([radius])[0]
     pts = _as_points(traj)
@@ -257,8 +261,8 @@ def render_recurrence_plot(traj, radius, start, stop, chunk=512):
     window = np.ascontiguousarray(pts[start:stop].T)  # one row per coordinate
     width = stop - start
     image = np.empty((width, width), dtype=np.uint8)
-    for row0 in range(0, width, chunk):
-        rows = window[:, row0 : row0 + chunk, None]
+    for row0 in range(0, width, PLOT_CHUNK_ROWS):
+        rows = window[:, row0 : row0 + PLOT_CHUNK_ROWS, None]
         black = squared_sums(rows, window[:, None]) <= bound
         image[row0 : row0 + rows.shape[1]] = np.where(black, 0, 255)
     return image

@@ -1,7 +1,10 @@
 """Config grammar and preset tests."""
 
 import configparser
+import dataclasses
 import math
+import os
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -116,47 +119,76 @@ def test_missing_required():
         parse_config(MINIMAL.replace("state = plus-plus", ""))
 
 
+def _rejected_everywhere(text, **changes):
+    """``text`` is refused, and so is the same config built in code, by
+    the constructor and by ``dataclasses.replace`` of a valid config:
+    each with the same ConfigError message."""
+    valid = parse_config(MINIMAL)
+    fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
+    messages = []
+    for build in (
+        lambda: parse_config(text),
+        lambda: ExperimentConfig(**{**fields, **changes}),
+        lambda: dataclasses.replace(valid, **changes),
+    ):
+        with pytest.raises(ConfigError) as refused:
+            build()
+        messages.append(str(refused.value))
+    assert messages == [messages[0]] * 3
+
+
 def test_analyses_need_their_observers():
-    with pytest.raises(ConfigError):
-        parse_config(MINIMAL + "\n[analyses]\nobservers = entropy\ncorrelation = yes\n")
-    with pytest.raises(ConfigError):
-        parse_config(MINIMAL + "\n[analyses]\nobservers = mean-field\nstats = yes\n")
-    with pytest.raises(ConfigError):
-        parse_config(
-            MINIMAL + "\n[analyses]\nobservers = mean-field\nspectrum = yes\n"
-        )  # spectrum_source defaults to entropy
-    with pytest.raises(ConfigError):
-        parse_config(
-            MINIMAL
-            + "\n[analyses]\nobservers = entropy\nline_gap_radius = 0.1\n"
-        )  # source defaults to mean-field
+    _rejected_everywhere(
+        MINIMAL + "\n[analyses]\nobservers = entropy\ncorrelation = yes\n",
+        observers=("entropy",),
+        correlation=True,
+    )
+    _rejected_everywhere(
+        MINIMAL + "\n[analyses]\nobservers = mean-field\nstats = yes\n",
+        observers=("mean-field",),
+        stats=True,
+    )
+    _rejected_everywhere(
+        MINIMAL + "\n[analyses]\nobservers = mean-field\nspectrum = yes\n",
+        observers=("mean-field",),
+        spectrum=True,
+    )  # spectrum_source defaults to entropy
+    _rejected_everywhere(
+        MINIMAL + "\n[analyses]\nobservers = entropy\nline_gap_radius = 0.1\n",
+        observers=("entropy",),
+        line_gap_radius=0.1,
+    )  # source defaults to mean-field
 
 
 def test_plot_validation():
     base = MINIMAL + "\n[analyses]\nobservers = mean-field\nrecurrence_plot = yes\n"
-    with pytest.raises(ConfigError):
-        parse_config(base)  # no plot_radius
+    plot_on = dict(observers=("mean-field",), recurrence_plot=True)
+    _rejected_everywhere(base, **plot_on)  # no plot_radius
     cfg = parse_config(base + "plot_radius = 0.1\nplot_window = 8\n")
     assert cfg.plot_radius == 0.1 and cfg.plot_window == 8
-    with pytest.raises(ConfigError):
-        parse_config(base + "plot_radius = 0.1\nplot_window = 50\n")  # > samples
+    _rejected_everywhere(
+        base + "plot_radius = 0.1\nplot_window = 50\n",
+        **plot_on,
+        plot_radius=0.1,
+        plot_window=50,
+    )  # > samples
 
 
 ANALYSES = MINIMAL + "\n[analyses]\nobservers = mean-field, entropy\n"
 
 
 @pytest.mark.parametrize(
-    "samples, analyses",
+    "samples, analyses, changes",
     [
-        (600, "recurrence_plot = yes\nplot_radius = -1\n"),
-        (10, "line_gap_radius = nan\n"),
-        (10, "recurrence_radii = 0.01, nan\n"),
-        (15, "spectrum = yes\n"),
-        (1, "correlation = yes\n"),
-        (10, "plot_radius = inf\n"),
-        (10, "recurrence_radii = 0.01, inf\n"),
-        (1, "recurrence_radii = 0.01\n"),
-        (1, "line_gap_radius = 0.1\n"),
+        (600, "recurrence_plot = yes\nplot_radius = -1\n", None),
+        (10, "line_gap_radius = nan\n", None),
+        (10, "recurrence_radii = 0.01, nan\n", None),
+        (15, "spectrum = yes\n", dict(spectrum=True)),
+        (1, "correlation = yes\n", dict(correlation=True)),
+        (10, "plot_radius = inf\n", None),
+        (10, "recurrence_radii = 0.01, inf\n", None),
+        (1, "recurrence_radii = 0.01\n", dict(recurrence_radii=(0.01,))),
+        (1, "line_gap_radius = 0.1\n", dict(line_gap_radius=0.1)),
     ],
     ids=[
         "negative-plot-radius",
@@ -170,10 +202,14 @@ ANALYSES = MINIMAL + "\n[analyses]\nobservers = mean-field, entropy\n"
         "line-gaps-on-one-sample",
     ],
 )
-def test_rejects_configs_that_would_fail_after_iterating(samples, analyses):
+def test_rejects_configs_that_would_fail_after_iterating(samples, analyses, changes):
     text = ANALYSES.replace("samples = 10", f"samples = {samples}") + analyses
-    with pytest.raises(ConfigError):
-        parse_config(text)
+    if changes is None:  # a value fault: its reader refuses the text
+        with pytest.raises(ConfigError):
+            parse_config(text)
+    else:
+        observers = ("mean-field", "entropy")
+        _rejected_everywhere(text, samples=samples, observers=observers, **changes)
 
 
 def test_smallest_accepted_analysis_inputs():
@@ -301,6 +337,16 @@ def test_sweep_rejects_a_state_that_runs_reject(tmp_path):
     assert not (out / "sweep.csv").exists()
 
 
+def test_a_value_must_fit_on_one_line():
+    # configparser joins an indented line to the value before it
+    split_state = MINIMAL.replace("plus-plus", "amplitudes:0.5,0.5,\n  0.5,0.5")
+    with pytest.raises(ConfigError, match=r"^field initial\.state: .*one line"):
+        parse_config(split_state)
+    split_observers = ANALYSES.replace("mean-field, entropy", "mean-field,\n  entropy")
+    with pytest.raises(ConfigError, match=r"^field analyses\.observers: .*one line"):
+        parse_config(split_observers)
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL.replace("samples = 10", "samples = 10\nsamples = 20"))
@@ -320,6 +366,17 @@ def test_preset_inventory():
         assert isinstance(cfg, ExperimentConfig)
     with pytest.raises(ConfigError):
         load_preset("figure99")
+
+
+def test_preset_names_only_a_bundled_file(tmp_path):
+    (tmp_path / "outside.cfg").write_text(MINIMAL, encoding="utf-8")
+    presets = Path(str(resources.files("qnetdyn.presets")))
+    name = os.path.relpath(tmp_path / "outside", presets)
+    with pytest.raises(ConfigError, match="unknown preset"):
+        load_preset(name)
+    out = tmp_path / "out"
+    assert main(["run", "--preset", name, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_preset_parameters():

@@ -267,6 +267,18 @@ def test_readme_ring_example_runs():
     assert names["states"].shape == (100, 8)
 
 
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("## Quickstart (library)", 1)[1]
+    example = after.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(example, names)
+    assert names["mf"].shape == names["ent"].shape == (20000, 2)
+    correlation, stats = capsys.readouterr().out.splitlines()
+    assert -1.0 <= float(correlation) <= 1.0
+    assert stats.startswith("RecurrenceStats(recurrence_probability=")
+
+
 def test_compose_single_gate():
     u = qrnn_rotation(0.42)
     m = compose_neural_map([u], ActivationOrder((0,)))

@@ -30,7 +30,7 @@ from qnetdyn.rqa import (
     recurrence_stats,
     render_recurrence_plot,
 )
-from qnetdyn.rqa import _kernels_py
+from qnetdyn.rqa import _kernels_py, core
 from qnetdyn.rqa._kernels_py import HEAD_ROWS, radius_bucket_counts
 
 
@@ -441,13 +441,14 @@ def test_render_zero_radius_diagonal_only():
     assert np.all(off == 255)
 
 
-def test_render_symmetry_and_chunking():
+def test_render_symmetry_and_chunking(monkeypatch):
     rng = np.random.default_rng(99)
     pts = rng.random((150, 2))
     img = render_recurrence_plot(pts, 0.25, 10, 140)
     assert img.shape == (130, 130)
     assert np.array_equal(img, img.T)
-    chunked = render_recurrence_plot(pts, 0.25, 10, 140, chunk=7)
+    monkeypatch.setattr(core, "PLOT_CHUNK_ROWS", 7)
+    chunked = render_recurrence_plot(pts, 0.25, 10, 140)
     assert np.array_equal(img, chunked)
     with pytest.raises(ValueError):
         render_recurrence_plot(pts, 0.25, 10, 10)
@@ -455,7 +456,8 @@ def test_render_symmetry_and_chunking():
         render_recurrence_plot(pts, 0.25, 0, 151)
 
 
-def test_plot_matches_profile_at_closed_threshold():
+def test_plot_matches_profile_at_closed_threshold(monkeypatch):
+    monkeypatch.setattr(core, "PLOT_CHUNK_ROWS", 64)
     # a walk on an integer lattice puts many pair distances exactly on
     # the radii 1, sqrt(2) and sqrt(3), so any difference between the
     # plot's and the kernel's distance arithmetic would show in the ties
@@ -464,7 +466,7 @@ def test_plot_matches_profile_at_closed_threshold():
         pts = np.cumsum(rng.integers(-1, 2, size=(300, dim)), axis=0).astype(float)
         for radius in (0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0):
             counts = diagonal_profile(pts, radius).counts
-            img = render_recurrence_plot(pts, radius, 0, len(pts), chunk=64)
+            img = render_recurrence_plot(pts, radius, 0, len(pts))
             black = [int(np.count_nonzero(np.diag(img, d) == 0)) for d in range(1, len(pts))]
             assert black == counts.tolist()
         on_radius = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)) == 1.0
