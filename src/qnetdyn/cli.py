@@ -10,7 +10,6 @@ import numpy as np
 
 from .config import load_config, load_preset, parse_radius_list, preset_names
 from .experiment import run_experiment, run_sweep
-from .network import QRNNParams
 
 
 def _build_parser():
@@ -69,7 +68,7 @@ def main(argv=None) -> int:
         if args.r_steps < 1:
             parser.error("--r-steps must be >= 1")
         try:
-            QRNNParams(args.r_from), QRNNParams(args.r_to)
+            cfg.with_r(args.r_from), cfg.with_r(args.r_to)
         except ValueError as exc:
             parser.error(f"--r-from/--r-to: {exc}")
         if args.workers < 1:

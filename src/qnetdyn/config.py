@@ -3,9 +3,9 @@
 Sections are [network], [initial], [run], [analyses], [output].  Unknown
 sections or keys are errors, not warnings, so a typo cannot silently
 disable an analysis.  `#` starts a comment, and a value must fit on one
-line.  This module owns the text grammar and ExperimentConfig, which
-checks its own coherence.  Each value is checked by the library code
-that uses it at run time, and every default is ExperimentConfig's.
+line.  `_KEYS` gives each key a reader (text to value) and a check (the
+library's own rule), which ExperimentConfig runs however it is built,
+with its coherence rules.  Every default is ExperimentConfig's.
 """
 
 from __future__ import annotations
@@ -41,15 +41,14 @@ _OBSERVERS = ("mean-field", "entropy", "raw-state")
 class ExperimentConfig:
     """Description of one deterministic run.
 
-    Construction (``replace`` and ``with_r`` included) checks coherence:
+    Construction (``replace`` and ``with_r`` included) runs the check
+    that `_KEYS` names for each value in effect, then checks coherence:
     every enabled analysis has its source observer recording and enough
-    samples to run on.  Each value is checked by the library code that
-    reads it.
+    samples to run on.  ``initial_state`` is derived from the label.
     """
 
     r: float
     initial_label: str
-    initial_state: np.ndarray
     transient: int
     samples: int
     observers: tuple = ()
@@ -76,6 +75,11 @@ class ExperimentConfig:
             if self.samples < count:
                 raise ConfigError(f"{what} needs samples >= {count}, got {self.samples}")
 
+        if self.recurrence_plot and self.plot_radius is None:
+            raise ConfigError("recurrence_plot needs plot_radius")
+        for section, key, field, _, check, switch in _KEYS:
+            if check is not None and _is_on(self, switch):
+                _check(f"field {section}.{key}", check, getattr(self, field))
         if self.correlation:
             need("mean-field", "correlation")
             at_least(2, "correlation")
@@ -91,13 +95,16 @@ class ExperimentConfig:
             need(self.line_gap_source, "line-gap histogram")
             at_least(2, "line-gap histogram")
         if self.recurrence_plot:
-            if self.plot_radius is None:
-                raise ConfigError("recurrence_plot needs plot_radius")
             need(self.plot_source, "recurrence plot")
             if self.plot_window > self.samples:
                 raise ConfigError(
                     f"plot_window {self.plot_window} exceeds samples {self.samples}"
                 )
+
+    @property
+    def initial_state(self) -> np.ndarray:
+        """The amplitudes that ``initial_label`` names, a fresh array."""
+        return initial_state_vector(self.initial_label)
 
     def with_r(self, r: float) -> "ExperimentConfig":
         return replace(self, r=float(r))
@@ -106,8 +113,8 @@ class ExperimentConfig:
         """Canonical (key, value) pairs for manifest embedding: every key
         whose switch is on, in _KEYS order."""
         items = []
-        for section, key, field, _, switch in _KEYS:
-            if switch is None or _is_on(self, switch):
+        for section, key, field, *_, switch in _KEYS:
+            if _is_on(self, switch):
                 items.append((f"{section}.{key}", _echo(getattr(self, field))))
             if field == "initial_label":
                 amps = ", ".join(repr(complex(a)) for a in self.initial_state)
@@ -118,9 +125,9 @@ class ExperimentConfig:
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
-def _is_on(cfg: ExperimentConfig, switch: str) -> bool:
-    """A switch is on when its field differs from its default (off) value."""
-    return getattr(cfg, switch) != _DEFAULTS[switch]
+def _is_on(cfg: ExperimentConfig, switch: str | None) -> bool:
+    """A switch (None: always on) is on when its field is not its default."""
+    return switch is None or getattr(cfg, switch) != _DEFAULTS[switch]
 
 
 def _echo(value) -> str:
@@ -132,7 +139,7 @@ def _echo(value) -> str:
 
 
 class ConfigError(ValueError):
-    """Raised for unparseable or invalid configuration text."""
+    """Raised for an unparseable or invalid configuration."""
 
 
 def _check(label, owner, *args):
@@ -172,16 +179,6 @@ def initial_state_vector(label: str) -> np.ndarray:
     raise ConfigError(f"unknown initial state {label!r}")
 
 
-# Readers turn one raw value into a field value, or raise ValueError.
-
-
-def _count(minimum, raw):
-    value = int(raw)
-    if value < minimum:
-        raise ValueError(f"{value} must be >= {minimum}")
-    return value
-
-
 def _boolean(raw):
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
@@ -189,63 +186,77 @@ def _boolean(raw):
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def _source(raw):
+def _items(raw):
+    return tuple(v.strip() for v in raw.split(",") if v.strip())
+
+
+def _floats(raw):
+    return tuple(float(v) for v in _items(raw))
+
+
+def _at_least(minimum, value):
+    if value < minimum:
+        raise ValueError(f"{value} must be >= {minimum}")
+
+
+def _source(value):
     sources = ("mean-field", "entropy")
-    if raw not in sources:
-        raise ValueError(f"{raw!r} not one of {sources}")
-    return raw
+    if value not in sources:
+        raise ValueError(f"{value!r} not one of {sources}")
 
 
-def _observers(raw):
-    observers = tuple(o.strip() for o in raw.split(",") if o.strip())
+def _observers(observers):
     for obs in observers:
         if obs not in _OBSERVERS:
             raise ValueError(f"unknown observer {obs!r}")
     if len(set(observers)) != len(observers):
         raise ValueError("duplicate observer")
-    return observers
 
 
-def _radii(raw):
-    # Python floats, so reprs and messages print 0.1, not np.float64(0.1)
-    return tuple(check_radii([float(v) for v in raw.split(",") if v.strip()]).tolist())
+def _radius(value):
+    check_radii([value])
 
 
-def _radius(raw):
-    return check_radii([float(raw)]).item()
+def _directory(value):
+    if not value:
+        raise ValueError("an output directory needs a name")
 
 
 # One row per key, in manifest echo order: (section, key, ExperimentConfig
-# field, reader, the field that switches the key's analysis on).  A key
-# whose switch is off is not echoed, and setting it is an error; a row
-# with no switch is always echoed.  A key is required when its field has
-# no default.
+# field, reader, check, switch).  The reader turns the key's text into a
+# value; the check, None for no rule, raises ValueError for a value the
+# run would refuse.  A key is checked and echoed while its switch, the
+# field that turns its analysis on, is on (always, with no switch), and
+# setting it while the switch is off is an error.  A key is required when
+# its field has no default.
 _KEYS = (
-    ("network", "r", "r", lambda raw: QRNNParams(float(raw)).r, None),
-    ("initial", "state", "initial_label", str, None),
-    ("run", "transient", "transient", partial(_count, 0), None),
-    ("run", "samples", "samples", partial(_count, 1), None),
-    ("analyses", "observers", "observers", _observers, None),
-    ("analyses", "correlation", "correlation", _boolean, None),
-    ("analyses", "stats", "stats", _boolean, None),
-    ("analyses", "spectrum", "spectrum", _boolean, None),
-    ("analyses", "spectrum_source", "spectrum_source", _source, "spectrum"),
-    ("analyses", "recurrence_radii", "recurrence_radii", _radii, "recurrence_radii"),
-    ("analyses", "recurrence_source", "recurrence_source", _source, "recurrence_radii"),
-    ("analyses", "line_gap_radius", "line_gap_radius", _radius, "line_gap_radius"),
-    ("analyses", "line_gap_source", "line_gap_source", _source, "line_gap_radius"),
-    ("analyses", "recurrence_plot", "recurrence_plot", _boolean, None),
-    ("analyses", "plot_radius", "plot_radius", _radius, "recurrence_plot"),
-    ("analyses", "plot_window", "plot_window", partial(_count, 2), "recurrence_plot"),
-    ("analyses", "plot_source", "plot_source", _source, "recurrence_plot"),
-    ("output", "directory", "out_directory", str, "out_directory"),
+    ("network", "r", "r", float, QRNNParams, None),
+    ("initial", "state", "initial_label", str, initial_state_vector, None),
+    ("run", "transient", "transient", int, partial(_at_least, 0), None),
+    ("run", "samples", "samples", int, partial(_at_least, 1), None),
+    ("analyses", "observers", "observers", _items, _observers, None),
+    ("analyses", "correlation", "correlation", _boolean, None, None),
+    ("analyses", "stats", "stats", _boolean, None, None),
+    ("analyses", "spectrum", "spectrum", _boolean, None, None),
+    ("analyses", "spectrum_source", "spectrum_source", str, _source, "spectrum"),
+    ("analyses", "recurrence_radii", "recurrence_radii", _floats, check_radii, "recurrence_radii"),
+    ("analyses", "recurrence_source", "recurrence_source", str, _source, "recurrence_radii"),
+    ("analyses", "line_gap_radius", "line_gap_radius", float, _radius, "line_gap_radius"),
+    ("analyses", "line_gap_source", "line_gap_source", str, _source, "line_gap_radius"),
+    ("analyses", "recurrence_plot", "recurrence_plot", _boolean, None, None),
+    ("analyses", "plot_radius", "plot_radius", float, _radius, "recurrence_plot"),
+    ("analyses", "plot_window", "plot_window", int, partial(_at_least, 2), "recurrence_plot"),
+    ("analyses", "plot_source", "plot_source", str, _source, "recurrence_plot"),
+    ("output", "directory", "out_directory", str, _directory, "out_directory"),
 )
 
 
 def parse_radius_list(raw: str, label: str) -> tuple:
     """Comma-separated radii that rqa.check_radii accepts, as Python
     floats.  ``label`` names the source in error messages."""
-    return _check(label, _radii, raw)
+    radii = _check(label, _floats, raw)
+    _check(label, check_radii, radii)
+    return radii
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -275,7 +286,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # only what the text sets; ExperimentConfig supplies every default
     values = {}
-    for section, key, field, read, _ in _KEYS:
+    for section, key, field, read, *_ in _KEYS:
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             if "\n" in raw:  # an indented line continues the value before it
@@ -283,9 +294,9 @@ def parse_config(text: str) -> ExperimentConfig:
             values[field] = _check(f"field {section}.{key}", read, raw)
         elif _DEFAULTS[field] is MISSING:
             raise ConfigError(f"missing required key {key!r} in section [{section}]")
-    cfg = ExperimentConfig(initial_state=initial_state_vector(values["initial_label"]), **values)
-    for section, key, field, _, switch in _KEYS:
-        if field in values and switch is not None and not _is_on(cfg, switch):
+    cfg = ExperimentConfig(**values)
+    for section, key, field, *_, switch in _KEYS:
+        if field in values and not _is_on(cfg, switch):
             raise ConfigError(f"field {section}.{key}: {switch} is off, so it would be ignored")
     return cfg
 

@@ -34,7 +34,6 @@ from .fields import activity_mean_field, check_activity_bounds
 from .network import QRNNParams, build_qrnn_map, run_trajectory
 from .rqa import _kernels_py
 from .rqa import (
-    check_radii,
     diagonal_profile,  # noqa: F401  unused; perfbench/layers.py wraps this attribute
     diagonal_profiles,
     full_recurrence_line_gaps,
@@ -341,27 +340,27 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=None) 
     come from ``radii``, else from the base's ``recurrence_radii``, else
     from the one radius 0.1.  Rows appear in r_values order regardless
     of completion order; a failing row records its error and does not
-    stop the sweep.  A base config that no row could run on raises
-    before any row runs.
+    stop the sweep.  A base config or radii that no row could run on
+    raise before any row runs.
     """
     if radii is None:
         radii = base.recurrence_radii or (0.1,)
-    radii = tuple(check_radii(radii).tolist())
-    labels = [f"recurrence_probability_{radius:g}" for radius in radii]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"radii {radii} give duplicate sweep.csv column labels")
     row_cfg = ExperimentConfig(
         r=base.r,
         initial_label=base.initial_label,
-        initial_state=base.initial_state,
         transient=base.transient,
         samples=base.samples,
         observers=("mean-field", "entropy"),
         correlation=True,
         stats=True,
-        recurrence_radii=radii,
+        recurrence_radii=tuple(radii),
         recurrence_source=base.recurrence_source,
     )
+    if not row_cfg.recurrence_radii:
+        raise ValueError("a sweep needs at least one radius")
+    labels = [f"recurrence_probability_{radius:g}" for radius in radii]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"radii {radii} give duplicate sweep.csv column labels")
     jobs = [(row_cfg, float(r)) for r in r_values]
     # a fork pool starts all max_workers processes up front
     workers = min(workers, len(jobs))

@@ -21,6 +21,7 @@ from qnetdyn.config import (
     parse_radius_list,
     preset_names,
 )
+from qnetdyn.experiment import run_experiment
 from qnetdyn.linalg import as_state
 from qnetdyn.network import QRNNParams
 from qnetdyn.rqa import check_radii
@@ -180,13 +181,21 @@ ANALYSES = MINIMAL + "\n[analyses]\nobservers = mean-field, entropy\n"
 @pytest.mark.parametrize(
     "samples, analyses, changes",
     [
-        (600, "recurrence_plot = yes\nplot_radius = -1\n", None),
-        (10, "line_gap_radius = nan\n", None),
-        (10, "recurrence_radii = 0.01, nan\n", None),
+        (
+            600,
+            "recurrence_plot = yes\nplot_radius = -1\n",
+            dict(recurrence_plot=True, plot_radius=-1.0),
+        ),
+        (10, "line_gap_radius = nan\n", dict(line_gap_radius=math.nan)),
+        (10, "recurrence_radii = 0.01, nan\n", dict(recurrence_radii=(0.01, math.nan))),
         (15, "spectrum = yes\n", dict(spectrum=True)),
         (1, "correlation = yes\n", dict(correlation=True)),
-        (10, "plot_radius = inf\n", None),
-        (10, "recurrence_radii = 0.01, inf\n", None),
+        (
+            10,
+            "recurrence_plot = yes\nplot_window = 2\nplot_radius = inf\n",
+            dict(recurrence_plot=True, plot_window=2, plot_radius=math.inf),
+        ),
+        (10, "recurrence_radii = 0.01, inf\n", dict(recurrence_radii=(0.01, math.inf))),
         (1, "recurrence_radii = 0.01\n", dict(recurrence_radii=(0.01,))),
         (1, "line_gap_radius = 0.1\n", dict(line_gap_radius=0.1)),
     ],
@@ -204,12 +213,53 @@ ANALYSES = MINIMAL + "\n[analyses]\nobservers = mean-field, entropy\n"
 )
 def test_rejects_configs_that_would_fail_after_iterating(samples, analyses, changes):
     text = ANALYSES.replace("samples = 10", f"samples = {samples}") + analyses
-    if changes is None:  # a value fault: its reader refuses the text
-        with pytest.raises(ConfigError):
-            parse_config(text)
-    else:
-        observers = ("mean-field", "entropy")
-        _rejected_everywhere(text, samples=samples, observers=observers, **changes)
+    observers = ("mean-field", "entropy")
+    _rejected_everywhere(text, samples=samples, observers=observers, **changes)
+
+
+@pytest.mark.parametrize(
+    "text, changes",
+    [
+        (MINIMAL.replace("transient = 5", "transient = -1"), dict(transient=-1)),
+        (MINIMAL.replace("samples = 10", "samples = 0"), dict(samples=0)),
+        (
+            ANALYSES + "recurrence_plot = yes\nplot_radius = 0.1\nplot_window = 1\n",
+            dict(
+                observers=("mean-field", "entropy"),
+                recurrence_plot=True,
+                plot_radius=0.1,
+                plot_window=1,
+            ),
+        ),
+        (MINIMAL + "\n[analyses]\nobservers = bogus\n", dict(observers=("bogus",))),
+        (
+            MINIMAL + "\n[analyses]\nobservers = entropy, entropy\n",
+            dict(observers=("entropy", "entropy")),
+        ),
+        (MINIMAL.replace("r = 0.25", "r = 1.5"), dict(r=1.5)),
+        (MINIMAL.replace("r = 0.25", "r = nan"), dict(r=math.nan)),
+        (
+            ANALYSES + "recurrence_radii = 0.1, 0.01\n",
+            dict(observers=("mean-field", "entropy"), recurrence_radii=(0.1, 0.01)),
+        ),
+        (MINIMAL.replace("plus-plus", "bell"), dict(initial_label="bell")),
+        (MINIMAL + "\n[output]\ndirectory =\n", dict(out_directory="")),
+    ],
+    ids=[
+        "negative-transient",
+        "no-samples",
+        "one-row-plot-window",
+        "unknown-observer",
+        "duplicate-observer",
+        "r-above-one",
+        "nan-r",
+        "descending-radii",
+        "unknown-state-label",
+        "empty-output-directory",
+    ],
+)
+def test_value_rules_hold_in_text_and_code(text, changes):
+    _rejected_everywhere(text, **changes)
 
 
 def test_smallest_accepted_analysis_inputs():
@@ -473,3 +523,28 @@ def test_with_r():
     cfg = parse_config(MINIMAL)
     assert cfg.with_r(0.75).r == 0.75
     assert cfg.r == 0.25
+
+
+def test_presets_compare_and_hash_equal():
+    for name in preset_names():
+        cfg, again = load_preset(name), load_preset(name)
+        assert cfg == again and hash(cfg) == hash(again), name
+        assert cfg.with_r(0.5 if cfg.r != 0.5 else 0.25) != cfg, name
+
+
+def test_initial_state_follows_its_label(tmp_path):
+    cfg = dataclasses.replace(parse_config(MINIMAL), initial_label="basis:01")
+    assert np.array_equal(cfg.initial_state, [0, 1, 0, 0])
+    manifest = run_experiment(cfg, out_dir=tmp_path / "run")
+    lines = (manifest.directory / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert "config.initial.state = basis:01" in lines
+    assert "config.initial.amplitudes = 0j, (1+0j), 0j, 0j" in lines
+    with pytest.raises(TypeError, match="initial_state"):
+        dataclasses.replace(cfg, initial_state=initial_state_vector("plus-plus"))
+
+
+def test_keys_name_every_field_once():
+    # a new field needs its key, reader, check and echo in _KEYS
+    keyed = [field for _, _, field, *_ in config._KEYS]
+    assert sorted(keyed) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    assert all(callable(read) for _, _, _, read, *_ in config._KEYS)

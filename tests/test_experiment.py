@@ -182,12 +182,17 @@ def test_manifest_verify_detects_tamper(tmp_path):
 
 def test_failed_run_creates_no_directory(tmp_path, monkeypatch):
     cfg = parse_config(FULL)
-    # a nan amplitude that bypasses parse_config fails in the trajectory
-    amplitudes = cfg.initial_state.copy()
-    amplitudes[0] = np.nan
-    nan_start = dataclasses.replace(cfg, initial_state=amplitudes)
-    with pytest.raises(ValueError, match="non-finite"):
-        run_experiment(nan_start, out_dir=tmp_path / "nan")
+    # a map that holds a nan fails in the trajectory
+    def nan_map(params):
+        map_ = build_qrnn_map(params)
+        matrix = map_.matrix.copy()
+        matrix[0, 0] = np.nan
+        return dataclasses.replace(map_, matrix=matrix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "build_qrnn_map", nan_map)
+        with pytest.raises(RuntimeError, match="norm drifted by nan"):
+            run_experiment(cfg, out_dir=tmp_path / "nan")
     assert not (tmp_path / "nan").exists()
 
     # an analysis that fails after the trajectory has been iterated
@@ -449,6 +454,8 @@ def test_sweep_rejects_radii_with_equal_column_labels(tmp_path):
     base = parse_config(FULL.replace("samples = 60", "samples = 40"))
     with pytest.raises(ValueError, match="duplicate"):
         run_sweep(base, [0.5], tmp_path / "dup", radii=(0.1, 0.1000001))
+    with pytest.raises(ValueError, match="at least one radius"):
+        run_sweep(base, [0.5], tmp_path / "dup", radii=())
     assert not (tmp_path / "dup").exists()
 
 
