@@ -1,6 +1,6 @@
 """Simulation and analysis toolkit for small quantum recurrent networks.
 
-The package builds unitary neural maps for n-neuron, l-level networks,
+The package builds unitary neural maps for networks of n two-level neurons,
 iterates them as discrete-time dynamical systems, and analyzes the
 resulting trajectories: mean-field observables, reduced-state entropy,
 recurrence quantification, and spectral structure.  The names imported

@@ -41,8 +41,8 @@ _OBSERVERS = ("mean-field", "entropy", "raw-state")
 class ExperimentConfig:
     """Description of one deterministic run.
 
-    Construction (``replace`` and ``with_r`` included) runs the check
-    that `_KEYS` names for each value in effect, then checks coherence:
+    Construction (``replace`` and ``with_r`` included) checks the type
+    and value of each key in effect by its `_KEYS` row, then coherence:
     every enabled analysis has its source observer recording and enough
     samples to run on.  ``initial_state`` is derived from the label.
     """
@@ -77,9 +77,12 @@ class ExperimentConfig:
 
         if self.recurrence_plot and self.plot_radius is None:
             raise ConfigError("recurrence_plot needs plot_radius")
-        for section, key, field, _, check, switch in _KEYS:
-            if check is not None and _is_on(self, switch):
-                _check(f"field {section}.{key}", check, getattr(self, field))
+        for section, key, field, read, check, switch in _KEYS:
+            if _is_on(self, switch):
+                value = getattr(self, field)
+                _check(f"field {section}.{key}", _reads_back, read, value)
+                if check is not None:
+                    _check(f"field {section}.{key}", check, value)
         if self.correlation:
             need("mean-field", "correlation")
             at_least(2, "correlation")
@@ -107,7 +110,7 @@ class ExperimentConfig:
         return initial_state_vector(self.initial_label)
 
     def with_r(self, r: float) -> "ExperimentConfig":
-        return replace(self, r=float(r))
+        return replace(self, r=r)
 
     def echo_items(self):
         """Canonical (key, value) pairs for manifest embedding: every key
@@ -166,7 +169,7 @@ def initial_state_vector(label: str) -> np.ndarray:
         digits = label[len("basis:"):].strip()
         if len(digits) != 2 or any(d not in "01" for d in digits):
             raise ConfigError(f"basis state needs two binary digits, got {digits!r}")
-        return basis_state([int(d) for d in digits], 2)
+        return basis_state([int(d) for d in digits])
     if label.startswith("amplitudes:"):
         parts = label[len("amplitudes:"):].split(",")
         if len(parts) != 4:
@@ -192,6 +195,15 @@ def _items(raw):
 
 def _floats(raw):
     return tuple(float(v) for v in _items(raw))
+
+
+def _reads_back(read, value):
+    """Refuse a value of the wrong type, one that ``read`` does not give
+    back from its own echo: so a bool is no int, and a manifest's echo
+    reads as the config that ran."""
+    parsed = read(_echo(value))
+    if parsed != value and repr(parsed) != repr(value):  # NaN != NaN, yet reads back
+        raise ValueError(f"{value!r} is the wrong type: its echo reads as {parsed!r}")
 
 
 def _at_least(minimum, value):
@@ -224,11 +236,12 @@ def _directory(value):
 
 # One row per key, in manifest echo order: (section, key, ExperimentConfig
 # field, reader, check, switch).  The reader turns the key's text into a
-# value; the check, None for no rule, raises ValueError for a value the
-# run would refuse.  A key is checked and echoed while its switch, the
-# field that turns its analysis on, is on (always, with no switch), and
-# setting it while the switch is off is an error.  A key is required when
-# its field has no default.
+# value and so sets its type (`_reads_back`); the check, None for no rule,
+# raises ValueError for a value the run would refuse.  A key is checked
+# and echoed while its switch, the field that turns its analysis on, is on
+# (always, with no switch), and setting it while the switch is off is an
+# error.  A switch's row precedes the rows it switches.  A key is required
+# when its field has no default.
 _KEYS = (
     ("network", "r", "r", float, QRNNParams, None),
     ("initial", "state", "initial_label", str, initial_state_vector, None),

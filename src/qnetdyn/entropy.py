@@ -4,7 +4,7 @@ Each neuron's reduced density follows from a partial trace of the pure
 network state; its von Neumann entropy (base 2, so bits) measures how
 entangled that neuron is with the rest of the network.  Collected per
 iteration this gives one entropy series per neuron, summarized by
-min/max/mean statistics.  A network of two two-level neurons takes no
+min/max/mean statistics.  A network of two neurons takes no
 partial trace: both reduced states share the Schmidt spectrum of the
 pure state, which has a closed form (Wootters, PRL 80 (1998) 2245).
 """
@@ -136,27 +136,27 @@ def schmidt_entropy(v: np.ndarray):
     return float(h) if v.ndim == 1 else h
 
 
-def site_entropies(v: np.ndarray, n: int, l: int = 2) -> np.ndarray:
+def site_entropies(v: np.ndarray, n: int) -> np.ndarray:
     """Entropy of each neuron's reduced state: shape ``(n,)`` for one pure
-    state, ``(count, n)`` for a ``(count, l**n)`` block of states.
+    state, ``(count, n)`` for a ``(count, 2**n)`` block of states.
 
-    Two two-level neurons take ``schmidt_entropy``, so both columns are
-    bit-equal; other shapes diagonalize each partial trace."""
+    Two neurons take ``schmidt_entropy``, so both columns are bit-equal;
+    other counts diagonalize each partial trace."""
     v = np.asarray(v)
-    if (n, l) == (2, 2):
+    if n == 2:
         h = np.asarray(schmidt_entropy(v))
         return np.stack([h, h], axis=-1)
     return np.stack(
-        [von_neumann_entropy(partial_trace_keep_site(v, k, n, l)) for k in range(n)], axis=-1
+        [von_neumann_entropy(partial_trace_keep_site(v, k, n)) for k in range(n)], axis=-1
     )
 
 
-def entropy_observer(n: int, l: int = 2):
-    """Trajectory observer: maps a ``(count, l**n)`` block of states to
+def entropy_observer(n: int):
+    """Trajectory observer: maps a ``(count, 2**n)`` block of states to
     its ``(count, n)`` per-neuron entropy rows."""
 
     def observe(block: np.ndarray) -> np.ndarray:
-        return site_entropies(block, n, l)
+        return site_entropies(block, n)
 
     return observe
 

@@ -1,10 +1,10 @@
 """Field observables over network states.
 
-A field assigns a real coefficient to each single-site level; its
-operator at site k is the coefficient-weighted sum of level projectors
-there, padded with identities elsewhere.  The neural-activity field is
-the special case with coefficients (0, 1) over the firing basis, so its
-average at site k is the firing probability of neuron k.  Collecting
+A field assigns a real coefficient to each of a neuron's two levels; its
+operator at site k is the coefficient-weighted sum of the two level
+projectors there, padded with identities elsewhere.  The neural-activity
+field is the special case with coefficients (0, 1) over the firing basis,
+so its average at site k is neuron k's firing probability.  Collecting
 per-site averages along a trajectory embeds the dynamics in R^n.
 """
 
@@ -28,20 +28,18 @@ from .network import UnitaryNeuralMap
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Real level coefficients carried by the computational-basis
-    projectors of one site."""
+    """Real coefficients of the two computational-basis projectors of one
+    site, quiet level first."""
 
     coeffs: tuple
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
+        if len(coeffs) != 2:
+            raise ValueError(f"a field needs two coefficients, got {len(coeffs)}")
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("field coefficients must be finite reals")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def levels(self) -> int:
-        return len(self.coeffs)
 
     def site_operator(self) -> np.ndarray:
         """The single-site observable sum_s coeffs[s] |s><s|."""
@@ -64,17 +62,15 @@ def check_activity_bounds(points) -> np.ndarray:
 
 def build_field_operator(spec: FieldSpec, k: int, n: int) -> np.ndarray:
     """Full-space operator of a field at site ``k``: identities at the
-    other sites, the coefficient-weighted projector sum at site k.  Every
-    site has ``spec.levels`` levels."""
+    other sites, the coefficient-weighted projector sum at site k."""
     if not 0 <= k < n:
         raise ValueError(f"site index {k} outside [0, {n})")
-    l = spec.levels
-    factors = [identity(l)] * k + [spec.site_operator()] + [identity(l)] * (n - k - 1)
+    factors = [identity(2)] * k + [spec.site_operator()] + [identity(2)] * (n - k - 1)
     return tensor_chain(factors)
 
 
 def neural_activity_operator(k: int, n: int) -> np.ndarray:
-    """Number operator at site k of a two-level network: counts 1 when
+    """Number operator at site k of an n-neuron network: counts 1 when
     neuron k fires, 0 otherwise."""
     return build_field_operator(FieldSpec(coeffs=(0.0, 1.0)), k, n)
 

@@ -1,10 +1,10 @@
-"""Dense complex linear algebra for small multi-site quantum systems.
+"""Dense complex linear algebra for small networks of two-level sites.
 
 State vectors and operators are plain ``numpy`` arrays of ``complex128``.
-The flat index convention is fixed globally: site 0 is the leftmost, most
-significant tensor factor, so a digit tuple ``(s0, ..., s_{n-1})`` over
-``l`` levels maps to ``flat = sum_k s_k * l**(n-1-k)``.  Everything in the
-package inherits this convention.
+The flat index convention is fixed globally: every site has two levels,
+and site 0 is the leftmost, most significant tensor factor, so a bit
+tuple ``(s0, ..., s_{n-1})`` maps to ``flat = sum_k s_k * 2**(n-1-k)``.
+Everything in the package inherits this convention.
 
 Validation helpers raise instead of repairing: a state that fails its norm
 check is a bug upstream, not something to renormalize silently.
@@ -34,14 +34,14 @@ class DimensionError(ValueError):
 # basis indexing
 
 
-def digits_to_flat(digits, l: int) -> int:
+def digits_to_flat(digits) -> int:
     """Flat index of the basis label ``(s0, ..., s_{n-1})``, site 0 most
     significant."""
     flat = 0
     for s in digits:
-        if not 0 <= s < l:
-            raise ValueError(f"digit {s} outside [0, {l})")
-        flat = flat * l + s
+        if s not in (0, 1):
+            raise ValueError(f"digit {s} is not a bit")
+        flat = flat * 2 + s
     return flat
 
 
@@ -71,18 +71,17 @@ def norm(v: np.ndarray):
     return float(nrm) if v.ndim == 1 else nrm
 
 
-def basis_state(digits, l: int) -> np.ndarray:
-    """Computational basis vector labeled by a digit tuple."""
+def basis_state(digits) -> np.ndarray:
+    """Computational basis vector labeled by a bit tuple."""
     digits = tuple(digits)
-    v = np.zeros(l ** len(digits), dtype=np.complex128)
-    v[digits_to_flat(digits, l)] = 1.0
+    v = np.zeros(2 ** len(digits), dtype=np.complex128)
+    v[digits_to_flat(digits)] = 1.0
     return v
 
 
-def uniform_state(n: int, l: int = 2) -> np.ndarray:
-    """Product of single-site uniform superpositions (|+> at each site for
-    l = 2)."""
-    dim = l**n
+def uniform_state(n: int) -> np.ndarray:
+    """Product state with |+> at each of ``n`` sites."""
+    dim = 2**n
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
 
 
@@ -136,20 +135,19 @@ def tensor_chain(factors) -> np.ndarray:
     return functools.reduce(np.kron, factors)
 
 
-def partial_trace_keep_site(v: np.ndarray, k: int, n: int, l: int) -> np.ndarray:
-    """Reduced l x l density of site ``k`` of a pure state, tracing out all
-    other sites.
+def partial_trace_keep_site(v: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Reduced 2 x 2 density of site ``k`` of a pure ``n``-site state.
 
-    A state of shape ``(l**n,)`` gives one ``(l, l)`` density; a
-    ``(count, l**n)`` block of states gives a ``(count, l, l)`` stack.
+    A state of shape ``(2**n,)`` gives one ``(2, 2)`` density; a
+    ``(count, 2**n)`` block of states gives a ``(count, 2, 2)`` stack.
     """
     if not 0 <= k < n:
         raise ValueError(f"site index {k} outside [0, {n})")
     arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != l**n:
-        raise DimensionError(f"state shape {arr.shape} is not ({l}**{n},) or (count, {l}**{n})")
-    m = arr.reshape(-1, l**k, l, l ** (n - k - 1))
-    return np.einsum("cxay,cxby->cab", m, m.conj()).reshape(arr.shape[:-1] + (l, l))
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 2**n:
+        raise DimensionError(f"state shape {arr.shape} is not (2**{n},) or (count, 2**{n})")
+    m = arr.reshape(-1, 2**k, 2, 2 ** (n - k - 1))
+    return np.einsum("cxay,cxby->cab", m, m.conj()).reshape(arr.shape[:-1] + (2, 2))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

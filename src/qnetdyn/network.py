@@ -1,11 +1,11 @@
 """Network topologies, conditional gates, and unitary neural maps.
 
-A network is a digraph of n neurons with l levels each.  Each neuron k
-carries a conditional gate: a unitary acting on site k whose branch is
-selected by the firing pattern of k's input neurons.  Activating all
-neurons once, in a fixed order, multiplies the gates into a single
-unitary map F on the l**n dimensional space; trajectories are generated
-by applying F repeatedly.
+A network is a digraph of n two-level neurons.  Each neuron k carries a
+conditional gate: a unitary acting on site k whose branch is selected by
+the firing pattern of k's input neurons.  Activating all neurons once,
+in a fixed order, multiplies the gates into a single unitary map F on
+the 2**n dimensional space; trajectories are generated by applying F
+repeatedly.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ BLOCK_SIZE = 4096
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Digraph of ``n`` neurons with ``l`` levels each.
+    """Digraph of ``n`` two-level neurons.
 
     ``edges`` holds ordered (source, target) pairs; self-loops are
     rejected because a neuron's gate conditions on its inputs' states,
@@ -45,18 +45,13 @@ class NetworkTopology:
     """
 
     n: int
-    l: int
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"neuron count must be >= 1, got {self.n}")
-        if self.l < 2:
-            raise ValueError(f"level count must be >= 2, got {self.l}")
-        if self.l**self.n > MAX_DIMENSION:
-            raise DimensionError(
-                f"state dimension {self.l}**{self.n} exceeds cap {MAX_DIMENSION}"
-            )
+        if 2**self.n > MAX_DIMENSION:
+            raise DimensionError(f"state dimension 2**{self.n} exceeds cap {MAX_DIMENSION}")
         edges = frozenset(tuple(e) for e in self.edges)
         for src, dst in edges:
             if not (0 <= src < self.n and 0 <= dst < self.n):
@@ -67,7 +62,7 @@ class NetworkTopology:
 
     @property
     def dim(self) -> int:
-        return self.l**self.n
+        return 2**self.n
 
     def in_neighbors(self, target: int) -> tuple:
         """Input neurons of ``target``, ascending."""
@@ -110,18 +105,18 @@ def build_conditional_gate(topo: NetworkTopology, target: int, table: Mapping) -
 
     ``table`` maps each firing pattern of the target's input neurons,
     ``topo.in_neighbors(target)`` (a tuple with one digit per input, in
-    ascending-index order), to the l x l unitary applied at the target
+    ascending-index order), to the 2 x 2 unitary applied at the target
     for that branch.  The gate sums, over every pattern, the tensor
     product with the pattern's projectors at the input sites, the
     selected unitary at the target site, and identity elsewhere.
     """
-    n, l = topo.n, topo.l
+    n = topo.n
     if not 0 <= target < n:
         raise ValueError(f"target {target} outside neuron range [0, {n})")
     inputs = topo.in_neighbors(target)
     table = {tuple(k): np.asarray(v, dtype=np.complex128) for k, v in table.items()}
 
-    patterns = set(itertools.product(range(l), repeat=len(inputs)))
+    patterns = set(itertools.product((0, 1), repeat=len(inputs)))
     if set(table) != patterns:
         missing = sorted(patterns - set(table))
         extra = sorted(set(table) - patterns)
@@ -130,8 +125,8 @@ def build_conditional_gate(topo: NetworkTopology, target: int, table: Mapping) -
             f"(missing {missing}, unexpected {extra})"
         )
     for pattern, u in table.items():
-        if u.shape != (l, l):
-            raise DimensionError(f"table entry for {pattern} has shape {u.shape}, want ({l}, {l})")
+        if u.shape != (2, 2):
+            raise DimensionError(f"table entry for {pattern} has shape {u.shape}, want (2, 2)")
         if not check_unitary(u, CONSTRUCTION_TOL):
             raise ValueError(f"table entry for pattern {pattern} is not unitary within 1e-12")
 
@@ -142,9 +137,9 @@ def build_conditional_gate(topo: NetworkTopology, target: int, table: Mapping) -
             if site == target:
                 factors.append(table[pattern])
             elif site in inputs:
-                factors.append(projector(pattern[inputs.index(site)], l))
+                factors.append(projector(pattern[inputs.index(site)], 2))
             else:
-                factors.append(identity(l))
+                factors.append(identity(2))
         gate += tensor_chain(factors)
     if not check_unitary(gate, CONSTRUCTION_TOL):
         raise RuntimeError("assembled conditional gate failed its unitarity check")
@@ -183,7 +178,7 @@ def qrnn_rotation(r: float) -> np.ndarray:
 
 def qrnn_topology() -> NetworkTopology:
     """Two mutually connected two-level neurons."""
-    return NetworkTopology(n=2, l=2, edges=frozenset({(0, 1), (1, 0)}))
+    return NetworkTopology(n=2, edges=frozenset({(0, 1), (1, 0)}))
 
 
 def build_qrnn_map(params: QRNNParams) -> UnitaryNeuralMap:
@@ -212,13 +207,12 @@ def run_trajectory(
     the state after ``transient`` applications.  Sampled states are
     recorded in read-only blocks of at most ``BLOCK_SIZE`` consecutive
     rows, and each observer is called once per block with the
-    ``(count, dim)`` array; it must return one row per state.  With no
-    samples, each observer sees one empty block.  The return value is
-    one array per observer: its per-block outputs concatenated in sample
-    order.
+    ``(count, dim)`` array; it must return one row per state.  The return
+    value is one array per observer: its per-block outputs concatenated
+    in sample order.
     """
-    if transient < 0 or samples < 0:
-        raise ValueError("transient and sample counts must be >= 0")
+    if transient < 0 or samples < 1:
+        raise ValueError(f"need transient >= 0 and samples >= 1, got {transient} and {samples}")
     f = map_.matrix
     v = as_state(v0)
     if v.shape[0] != f.shape[0]:
@@ -226,16 +220,14 @@ def run_trajectory(
     for _ in range(transient):
         v = f @ v
     out: list = [[] for _ in observers]
-    for start in range(0, max(samples, 1), BLOCK_SIZE):
+    for start in range(0, samples, BLOCK_SIZE):
         count = min(BLOCK_SIZE, samples - start)
         block = np.empty((count, v.shape[0]), dtype=np.complex128)
-        if count:
-            block[0] = v
-            for i in range(1, count):
-                np.dot(f, block[i - 1], out=block[i])  # the bytes of f @ v, in place
-            v = f @ block[-1]
-        # with no samples, the state after the transient is checked instead
-        drift = np.abs(norm(block if count else v) - 1.0)
+        block[0] = v
+        for i in range(1, count):
+            np.dot(f, block[i - 1], out=block[i])  # the bytes of f @ v, in place
+        v = f @ block[-1]
+        drift = np.abs(norm(block) - 1.0)
         if not np.all(drift <= DRIFT_TOL):  # NaN fails too
             raise RuntimeError(f"norm drifted by {drift.max():.3e} during trajectory")
         block.flags.writeable = False

@@ -13,6 +13,7 @@ import numpy as np
 
 # Shortest series power_spectrum accepts.
 MIN_SPECTRUM_SAMPLES = 16
+PEAK_FACTOR = 10.0  # a prominent peak exceeds this multiple of the median power
 
 __all__ = [
     "Periodogram",
@@ -92,14 +93,12 @@ def loglog_slope(p: Periodogram, band) -> float:
     return float(slope)
 
 
-def prominent_peaks(p: Periodogram, factor: float = 10.0) -> np.ndarray:
-    """Indices of interior local maxima exceeding factor times the median power."""
-    if factor <= 0.0:
-        raise ValueError("factor must be positive")
+def prominent_peaks(p: Periodogram) -> np.ndarray:
+    """Indices of interior local maxima above PEAK_FACTOR times the median power."""
     power = p.power
     if power.size < 3:
         return np.empty(0, dtype=np.intp)
-    threshold = factor * float(np.median(power))
+    threshold = PEAK_FACTOR * float(np.median(power))
     inner = power[1:-1]
     hits = (inner > power[:-2]) & (inner > power[2:]) & (inner > threshold)
     return np.flatnonzero(hits) + 1

@@ -416,7 +416,7 @@ def test_spectral_shape(run_near_cycle):
 
     p = power_spectrum(run_near_cycle[1][:10000, 0])
     low_slope = loglog_slope(p, (0.001, 0.05))
-    peaks = prominent_peaks(p, factor=10.0)
+    peaks = prominent_peaks(p)
     high_peak = bool(peaks.size) and bool(np.any(p.frequencies[peaks] > 0.25))
     ok = synthetic_ok and low_slope < -0.5 and high_peak
     check(

@@ -121,21 +121,27 @@ def test_missing_required():
 
 
 def _rejected_everywhere(text, **changes):
-    """``text`` is refused, and so is the same config built in code, by
-    the constructor and by ``dataclasses.replace`` of a valid config:
-    each with the same ConfigError message."""
+    """``text`` (None: a config with no text form) is refused, and so is
+    the same config built in code, by the constructor, by
+    ``dataclasses.replace`` of a valid config and, when only r changes,
+    by ``with_r``: each with the same ConfigError message, returned."""
     valid = parse_config(MINIMAL)
     fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
-    messages = []
-    for build in (
-        lambda: parse_config(text),
+    builds = [
         lambda: ExperimentConfig(**{**fields, **changes}),
         lambda: dataclasses.replace(valid, **changes),
-    ):
+    ]
+    if text is not None:
+        builds.append(lambda: parse_config(text))
+    if list(changes) == ["r"]:
+        builds.append(lambda: valid.with_r(changes["r"]))
+    messages = []
+    for build in builds:
         with pytest.raises(ConfigError) as refused:
             build()
         messages.append(str(refused.value))
-    assert messages == [messages[0]] * 3
+    assert messages == [messages[0]] * len(builds)
+    return messages[0]
 
 
 def test_analyses_need_their_observers():
@@ -260,6 +266,31 @@ def test_rejects_configs_that_would_fail_after_iterating(samples, analyses, chan
 )
 def test_value_rules_hold_in_text_and_code(text, changes):
     _rejected_everywhere(text, **changes)
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        (dict(observers=("mean-field",), correlation="no"), "analyses.correlation"),
+        (dict(transient=2.5), "run.transient"),
+        (dict(r=True), "network.r"),
+        (dict(observers=["mean-field"]), "analyses.observers"),
+        (dict(samples="10"), "run.samples"),
+        (dict(observers=("mean-field",), recurrence_radii=[0.1]), "analyses.recurrence_radii"),
+        (dict(initial_label=None), "initial.state"),
+    ],
+    ids=[
+        "string-boolean",
+        "float-count",
+        "bool-r",
+        "observer-list",
+        "string-count",
+        "radius-list",
+        "no-state-label",
+    ],
+)
+def test_values_of_the_wrong_type_are_refused_in_code(changes, key):
+    assert _rejected_everywhere(None, **changes).startswith(f"field {key}: ")
 
 
 def test_smallest_accepted_analysis_inputs():
@@ -523,6 +554,8 @@ def test_with_r():
     cfg = parse_config(MINIMAL)
     assert cfg.with_r(0.75).r == 0.75
     assert cfg.r == 0.25
+    # a sweep's r values are numpy floats, which read back from their echo
+    assert cfg.with_r(np.float64(0.75)) == cfg.with_r(0.75)
 
 
 def test_presets_compare_and_hash_equal():

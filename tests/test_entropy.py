@@ -105,7 +105,7 @@ def test_entropy_matches_closed_form_on_random_densities():
     rng = np.random.default_rng(41)
     for _ in range(100):
         psi = random_state(rng, 4)
-        rho = linalg.partial_trace_keep_site(psi, 0, 2, 2)
+        rho = linalg.partial_trace_keep_site(psi, 0, 2)
         assert abs(von_neumann_entropy(rho) - two_by_two_density_entropy(rho)) < 1e-10
 
 
@@ -159,19 +159,19 @@ def test_batched_entropy_validation_names_the_failing_member():
 
 
 def test_site_entropies_product_and_bell():
-    assert np.max(site_entropies(linalg.uniform_state(2, 2), 2)) < 1e-12
+    assert np.max(site_entropies(linalg.uniform_state(2), 2)) < 1e-12
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
     assert np.max(np.abs(site_entropies(bell, 2) - 1.0)) < 1e-12
 
 
 def test_site_entropies_of_a_block_equal_per_state_rows():
     rng = np.random.default_rng(44)
-    for n, l in [(2, 2), (3, 2), (2, 3)]:
+    for n in (2, 3, 4):
         # a square block (count == dim) must not be read as a density
-        block = np.array([random_state(rng, l**n) for _ in range(l**n)])
-        rows = np.array([site_entropies(v, n, l) for v in block])
-        assert site_entropies(block, n, l).tobytes() == rows.tobytes()
-        assert entropy_observer(n, l)(block).shape == (l**n, n)
+        block = np.array([random_state(rng, 2**n) for _ in range(2**n)])
+        rows = np.array([site_entropies(v, n) for v in block])
+        assert site_entropies(block, n).tobytes() == rows.tobytes()
+        assert entropy_observer(n)(block).shape == (2**n, n)
 
 
 def decimal_schmidt_entropy(v):
@@ -263,7 +263,7 @@ def test_schmidt_entropy_rejects_nan_state():
 def test_two_party_entropies_agree_along_trajectory():
     m = build_qrnn_map(QRNNParams(0.47))
     (rows,) = run_trajectory(
-        m, linalg.uniform_state(2, 2), transient=25, samples=300, observers=[entropy_observer(2)]
+        m, linalg.uniform_state(2), transient=25, samples=300, observers=[entropy_observer(2)]
     )
     series = np.asarray(rows)
     assert np.max(np.abs(series[:, 0] - series[:, 1])) < 1e-9
@@ -277,7 +277,7 @@ def test_global_purity_is_conserved():
         return von_neumann_entropy(np.einsum("ci,cj->cij", block, block.conj()))
 
     (vals,) = run_trajectory(
-        m, linalg.uniform_state(2, 2), transient=0, samples=200, observers=[global_entropy]
+        m, linalg.uniform_state(2), transient=0, samples=200, observers=[global_entropy]
     )
     assert max(vals) < 1e-8
 

@@ -41,11 +41,10 @@ def test_field_operator_examples():
     assert np.array_equal(build_field_operator(ones, 1, 2), np.eye(4))
 
 
-def test_field_operator_three_levels():
-    spec = FieldSpec(coeffs=(0.0, 1.0, 2.0))
-    op = build_field_operator(spec, 1, 2)
-    want = np.diag([float(digits[1]) for digits in itertools.product(range(3), repeat=2)])
-    assert np.array_equal(op, want)
+def test_field_spec_refuses_other_level_counts():
+    for coeffs in ((0.0, 1.0, 2.0), (1.0,), ()):
+        with pytest.raises(ValueError, match="two coefficients"):
+            FieldSpec(coeffs=coeffs)
 
 
 def test_field_operator_eigenvalue_relation():
@@ -53,7 +52,7 @@ def test_field_operator_eigenvalue_relation():
     spec = FieldSpec(coeffs=(-1.5, 0.25))
     op = build_field_operator(spec, 1, 3)
     for digits in itertools.product(range(2), repeat=3):
-        v = linalg.basis_state(digits, 2)
+        v = linalg.basis_state(digits)
         assert np.array_equal(op @ v, spec.coeffs[digits[1]] * v)
 
 
@@ -79,7 +78,7 @@ def test_activity_operator_counts_firing_digit():
         for k in range(n):
             op = neural_activity_operator(k, n)
             for digits in itertools.product(range(2), repeat=n):
-                v = linalg.basis_state(digits, 2)
+                v = linalg.basis_state(digits)
                 assert np.array_equal(op @ v, float(digits[k]) * v)
 
 
@@ -98,8 +97,8 @@ def test_activity_operators_commute():
 def test_quantum_average_examples():
     n0 = neural_activity_operator(0, 2)
     n1 = neural_activity_operator(1, 2)
-    assert quantum_average(n0, linalg.basis_state((1, 0), 2)) == 1.0
-    assert abs(quantum_average(n0, linalg.uniform_state(2, 2)) - 0.5) < 1e-15
+    assert quantum_average(n0, linalg.basis_state((1, 0))) == 1.0
+    assert abs(quantum_average(n0, linalg.uniform_state(2)) - 0.5) < 1e-15
     v = np.zeros(4, dtype=np.complex128)
     v[1] = 3.0 / 5.0
     v[3] = 4.0j / 5.0
@@ -153,10 +152,10 @@ def test_mean_field_of_a_block_equals_per_state_rows():
 
 def test_mean_field_examples():
     for mean_field in (activity_mean_field, operator_mean_field):
-        assert np.array_equal(mean_field(linalg.basis_state((1, 1), 2), 2), [1.0, 1.0])
-        assert np.allclose(mean_field(linalg.uniform_state(2, 2), 2), [0.5, 0.5], atol=1e-15)
+        assert np.array_equal(mean_field(linalg.basis_state((1, 1)), 2), [1.0, 1.0])
+        assert np.allclose(mean_field(linalg.uniform_state(2), 2), [0.5, 0.5], atol=1e-15)
         m = build_qrnn_map(QRNNParams(1.0))
-        stepped = run_trajectory(m, linalg.uniform_state(2, 2), 1, 1, [np.copy])[0][0]
+        stepped = run_trajectory(m, linalg.uniform_state(2), 1, 1, [np.copy])[0][0]
         assert np.allclose(mean_field(stepped, 2), [0.5, 0.5], atol=1e-12)
 
 
@@ -164,7 +163,7 @@ def test_trajectory_activity_stays_bounded():
     m = build_qrnn_map(QRNNParams(0.317))
     (points,) = run_trajectory(
         m,
-        linalg.uniform_state(2, 2),
+        linalg.uniform_state(2),
         transient=50,
         samples=400,
         observers=[lambda v: activity_mean_field(v, 2)],

@@ -23,16 +23,16 @@ def two_by_two_eigenvalues(h):
     return np.array([mid - rad, mid + rad])
 
 
-def reduced_by_loops(psi, k, n, l):
+def reduced_by_loops(psi, k, n):
     """Partial trace oracle: explicit sums over basis labels."""
-    rho = np.zeros((l, l), dtype=np.complex128)
-    for a in range(l):
-        for b in range(l):
-            for rest in itertools.product(range(l), repeat=n - 1):
+    rho = np.zeros((2, 2), dtype=np.complex128)
+    for a in range(2):
+        for b in range(2):
+            for rest in itertools.product(range(2), repeat=n - 1):
                 da = rest[:k] + (a,) + rest[k:]
                 db = rest[:k] + (b,) + rest[k:]
-                ia = linalg.digits_to_flat(da, l)
-                ib = linalg.digits_to_flat(db, l)
+                ia = linalg.digits_to_flat(da)
+                ib = linalg.digits_to_flat(db)
                 rho[a, b] += psi[ia] * np.conj(psi[ib])
     return rho
 
@@ -59,27 +59,27 @@ def assert_trace_moments(h, lam):
 
 
 def test_flat_index_examples():
-    assert linalg.digits_to_flat((0, 0), 2) == 0
-    assert linalg.digits_to_flat((0, 1), 2) == 1
-    assert linalg.digits_to_flat((1, 0), 2) == 2
-    assert linalg.digits_to_flat((1, 1), 2) == 3
+    assert linalg.digits_to_flat((0, 0)) == 0
+    assert linalg.digits_to_flat((0, 1)) == 1
+    assert linalg.digits_to_flat((1, 0)) == 2
+    assert linalg.digits_to_flat((1, 1)) == 3
     # site 0 is the most significant digit
-    assert linalg.digits_to_flat((2, 1, 0), 3) == 2 * 9 + 1 * 3
+    assert linalg.digits_to_flat((1, 1, 0)) == 1 * 4 + 1 * 2
 
 
 def test_flat_index_roundtrip():
     # product() yields labels in lexicographic order, site 0 slowest, so a
-    # bijection onto 0 .. l**n - 1 with site 0 most significant counts up
-    for n, l in [(1, 2), (2, 2), (3, 2), (2, 3), (3, 4)]:
-        flats = [linalg.digits_to_flat(d, l) for d in itertools.product(range(l), repeat=n)]
-        assert flats == list(range(l**n))
+    # bijection onto 0 .. 2**n - 1 with site 0 most significant counts up
+    for n in (1, 2, 3, 4, 6):
+        flats = [linalg.digits_to_flat(d) for d in itertools.product(range(2), repeat=n)]
+        assert flats == list(range(2**n))
 
 
 def test_flat_index_rejects_out_of_range():
     with pytest.raises(ValueError):
-        linalg.digits_to_flat((0, 2), 2)
+        linalg.digits_to_flat((0, 2))
     with pytest.raises(ValueError):
-        linalg.digits_to_flat((-1, 0), 2)
+        linalg.digits_to_flat((-1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +87,14 @@ def test_flat_index_rejects_out_of_range():
 
 
 def test_basis_state():
-    v = linalg.basis_state((1, 0), 2)
+    v = linalg.basis_state((1, 0))
     assert v.shape == (4,)
     assert v[2] == 1.0
     assert np.sum(np.abs(v)) == 1.0
 
 
 def test_uniform_state_is_normalized_product():
-    v = linalg.uniform_state(3, 2)
+    v = linalg.uniform_state(3)
     assert v.shape == (8,)
     assert abs(linalg.norm(v) - 1.0) < 1e-15
     assert np.allclose(v, v[0])
@@ -171,11 +171,11 @@ def test_tensor_product_entry_formula():
 def test_tensor_ordering_site0_most_significant():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     op = linalg.tensor_chain([sx, linalg.identity(2)])
-    flipped = op @ linalg.basis_state((0, 0), 2)
-    assert np.allclose(flipped, linalg.basis_state((1, 0), 2))
+    flipped = op @ linalg.basis_state((0, 0))
+    assert np.allclose(flipped, linalg.basis_state((1, 0)))
     op2 = linalg.tensor_chain([linalg.identity(2), sx])
-    flipped2 = op2 @ linalg.basis_state((0, 0), 2)
-    assert np.allclose(flipped2, linalg.basis_state((0, 1), 2))
+    flipped2 = op2 @ linalg.basis_state((0, 0))
+    assert np.allclose(flipped2, linalg.basis_state((0, 1)))
 
 
 def test_tensor_chain_matches_pairwise():
@@ -206,50 +206,50 @@ def test_partial_trace_product_state():
     single = np.array([0.6, 0.8j])
     other = np.array([1.0, 0.0])
     psi = np.kron(single, other)
-    rho = linalg.partial_trace_keep_site(psi, 0, 2, 2)
+    rho = linalg.partial_trace_keep_site(psi, 0, 2)
     assert np.allclose(rho, np.outer(single, single.conj()), atol=1e-15)
 
 
 def test_partial_trace_bell_state():
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     for site in (0, 1):
-        rho = linalg.partial_trace_keep_site(bell, site, 2, 2)
+        rho = linalg.partial_trace_keep_site(bell, site, 2)
         assert np.allclose(rho, 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_partial_trace_matches_loop_oracle():
     rng = np.random.default_rng(13)
-    for n, l in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        psi = rng.normal(size=l**n) + 1j * rng.normal(size=l**n)
+    for n in (2, 3, 4):
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         psi /= np.linalg.norm(psi)
         for k in range(n):
-            fast = linalg.partial_trace_keep_site(psi, k, n, l)
-            slow = reduced_by_loops(psi, k, n, l)
+            fast = linalg.partial_trace_keep_site(psi, k, n)
+            slow = reduced_by_loops(psi, k, n)
             assert np.max(np.abs(fast - slow)) < 1e-14
             assert abs(np.trace(fast).real - 1.0) < 1e-12
 
 
 def test_partial_trace_of_a_block_equals_per_state_traces():
     rng = np.random.default_rng(19)
-    for n, l in [(2, 2), (3, 2), (2, 3)]:
-        dim = l**n
+    for n in (2, 3, 4):
+        dim = 2**n
         for count in (0, 1, dim, 7):
             block = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
             block /= np.linalg.norm(block, axis=1, keepdims=True)
             for k in range(n):
-                got = linalg.partial_trace_keep_site(block, k, n, l)
-                assert got.shape == (count, l, l)
+                got = linalg.partial_trace_keep_site(block, k, n)
+                assert got.shape == (count, 2, 2)
                 for rho, psi in zip(got, block):
-                    assert rho.tobytes() == linalg.partial_trace_keep_site(psi, k, n, l).tobytes()
+                    assert rho.tobytes() == linalg.partial_trace_keep_site(psi, k, n).tobytes()
     with pytest.raises(linalg.DimensionError):
-        linalg.partial_trace_keep_site(np.zeros((3, 8)), 0, 2, 2)
+        linalg.partial_trace_keep_site(np.zeros((3, 8)), 0, 2)
     with pytest.raises(linalg.DimensionError):
-        linalg.partial_trace_keep_site(np.zeros((2, 3, 4)), 0, 2, 2)
+        linalg.partial_trace_keep_site(np.zeros((2, 3, 4)), 0, 2)
 
 
 def test_partial_trace_rejects_bad_site():
     with pytest.raises(ValueError):
-        linalg.partial_trace_keep_site(np.zeros(4), 2, 2, 2)
+        linalg.partial_trace_keep_site(np.zeros(4), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def test_eigenvalues_reduced_density_spectrum():
     for _ in range(50):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        rho = linalg.partial_trace_keep_site(psi, 0, 2, 2)
+        rho = linalg.partial_trace_keep_site(psi, 0, 2)
         lam = linalg.hermitian_eigenvalues(rho)
         assert abs(lam.sum() - 1.0) < 1e-12
         assert np.max(np.abs(lam - two_by_two_eigenvalues(rho))) < 1e-13

@@ -86,15 +86,13 @@ def test_topology_validation():
     assert topo.in_neighbors(0) == (1,)
     assert topo.in_neighbors(1) == (0,)
     with pytest.raises(ValueError):
-        NetworkTopology(n=0, l=2)
+        NetworkTopology(n=0)
     with pytest.raises(ValueError):
-        NetworkTopology(n=2, l=1)
+        NetworkTopology(n=2, edges=frozenset({(0, 0)}))
     with pytest.raises(ValueError):
-        NetworkTopology(n=2, l=2, edges=frozenset({(0, 0)}))
-    with pytest.raises(ValueError):
-        NetworkTopology(n=2, l=2, edges=frozenset({(0, 2)}))
+        NetworkTopology(n=2, edges=frozenset({(0, 2)}))
     with pytest.raises(linalg.DimensionError):
-        NetworkTopology(n=21, l=2)
+        NetworkTopology(n=21)
 
 
 def test_activation_order_validation():
@@ -138,7 +136,7 @@ def test_identity_table_gives_identity_gate():
 
 
 def test_gate_with_no_inputs_is_local():
-    topo = NetworkTopology(n=2, l=2, edges=frozenset())
+    topo = NetworkTopology(n=2, edges=frozenset())
     u = qrnn_rotation(0.3)
     g = build_conditional_gate(topo, 0, {(): u})
     assert np.array_equal(g, np.kron(u, np.eye(2)))
@@ -146,7 +144,7 @@ def test_gate_with_no_inputs_is_local():
 
 def test_gate_three_site_structure():
     # ring 0 -> 1 -> 2 -> 0: neuron 1's gate conditions on site 0 only
-    topo = NetworkTopology(n=3, l=2, edges=frozenset({(0, 1), (1, 2), (2, 0)}))
+    topo = NetworkTopology(n=3, edges=frozenset({(0, 1), (1, 2), (2, 0)}))
     a = qrnn_rotation(0.2)
     b = qrnn_rotation(0.7)
     g = build_conditional_gate(topo, 1, {(0,): a, (1,): b})
@@ -157,7 +155,7 @@ def test_gate_three_site_structure():
 
 
 def test_gate_two_input_structure():
-    topo = NetworkTopology(n=3, l=2, edges=frozenset({(0, 2), (1, 2)}))
+    topo = NetworkTopology(n=3, edges=frozenset({(0, 2), (1, 2)}))
     units = {
         (0, 0): linalg.identity(2),
         (0, 1): qrnn_rotation(0.1),
@@ -303,7 +301,7 @@ def test_compose_rejects_bad_gates():
 
 def test_iterate_zero_steps_returns_input():
     m = build_qrnn_map(QRNNParams(0.7))
-    v = linalg.uniform_state(2, 2)
+    v = linalg.uniform_state(2)
     out = run_trajectory(m, v, 0, 1, [np.copy])[0][0]
     assert np.array_equal(out, v)
 
@@ -332,14 +330,14 @@ def test_iterate_norm_guard():
     with pytest.raises(ValueError):
         run_trajectory(m, np.array([0.9, 0, 0, 0]), 5, 1, [np.copy])
     with pytest.raises(ValueError):
-        run_trajectory(m, linalg.uniform_state(2, 2), -1, 1, [np.copy])
+        run_trajectory(m, linalg.uniform_state(2), -1, 1, [np.copy])
     with pytest.raises(ValueError):
-        run_trajectory(m, linalg.uniform_state(2, 2), 0, -1, [np.copy])
+        run_trajectory(m, linalg.uniform_state(2), 0, -1, [np.copy])
 
 
 def test_long_run_norm_drift_stays_small():
     m = build_qrnn_map(QRNNParams(0.550129597))
-    v = run_trajectory(m, linalg.uniform_state(2, 2), 30000, 1, [np.copy])[0][0]
+    v = run_trajectory(m, linalg.uniform_state(2), 30000, 1, [np.copy])[0][0]
     assert abs(linalg.norm(v) - 1.0) < 1e-10
 
 
@@ -349,14 +347,14 @@ def test_long_run_norm_drift_stays_small():
 
 def test_trajectory_records_initial_state_first():
     m = build_qrnn_map(QRNNParams(0.9))
-    v0 = linalg.uniform_state(2, 2)
+    v0 = linalg.uniform_state(2)
     (taps,) = run_trajectory(m, v0, transient=0, samples=1, observers=[np.copy])
     assert np.array_equal(taps[0], v0)
 
 
 def test_trajectory_multiple_observers_and_determinism():
     m = build_qrnn_map(QRNNParams(0.47))
-    v0 = linalg.basis_state((1, 0), 2)
+    v0 = linalg.basis_state((1, 0))
     obs = [lambda block: np.abs(block[:, 3]) ** 2, np.copy]
     a1, b1 = run_trajectory(m, v0, 7, 13, obs)
     a2, b2 = run_trajectory(m, v0, 7, 13, obs)
@@ -379,15 +377,23 @@ def test_trajectory_period_three_series():
 def test_trajectory_rejects_negative_counts():
     m = build_qrnn_map(QRNNParams(0.2))
     with pytest.raises(ValueError):
-        run_trajectory(m, linalg.uniform_state(2, 2), -1, 5, [])
+        run_trajectory(m, linalg.uniform_state(2), -1, 5, [])
+
+
+def test_trajectory_rejects_zero_samples():
+    m = build_qrnn_map(QRNNParams(0.2))
+    seen = []
+    with pytest.raises(ValueError, match="samples >= 1"):
+        run_trajectory(m, linalg.uniform_state(2), 3, 0, [seen.append])
+    assert seen == []
 
 
 @pytest.mark.parametrize(
-    "samples", [0, 1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 3]
+    "samples", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 3]
 )
 def test_trajectory_blocks_match_plain_iteration(samples):
     m = build_qrnn_map(QRNNParams(0.550129597))
-    v0 = linalg.uniform_state(2, 2)
+    v0 = linalg.uniform_state(2)
     want = np.empty((samples, 4), dtype=np.complex128)
     v = v0
     for _ in range(3):
@@ -407,12 +413,12 @@ def test_trajectory_blocks_match_plain_iteration(samples):
     assert sq.tobytes() == (np.abs(want) ** 2).tobytes()
     assert sum(seen) == samples
     assert max(seen) <= BLOCK_SIZE
-    assert len(seen) == max(1, -(-samples // BLOCK_SIZE))
+    assert len(seen) == -(-samples // BLOCK_SIZE)
 
 
 def test_trajectory_blocks_are_read_only_and_row_counts_checked():
     m = build_qrnn_map(QRNNParams(0.3))
-    v0 = linalg.uniform_state(2, 2)
+    v0 = linalg.uniform_state(2)
 
     def mutate(block):
         block[0] = 0.0
@@ -429,7 +435,7 @@ def test_trajectory_raises_on_norm_drift():
     # the norm grows by 1e-12 per step and crosses the 1e-10 drift bound
     # after about 100 applications
     leaky = UnitaryNeuralMap(matrix=(1.0 + 1e-12) * base.matrix)
-    v0 = linalg.uniform_state(2, 2)
+    v0 = linalg.uniform_state(2)
     (short,) = run_trajectory(leaky, v0, 0, 50, [np.copy])
     assert short.shape == (50, 4)
     blocks = []
@@ -445,8 +451,9 @@ def test_trajectory_raises_on_nan_norm():
     nan_map = UnitaryNeuralMap(matrix=np.full((4, 4), np.nan))
     blocks = []
     with pytest.raises(RuntimeError, match="norm drifted"):
-        run_trajectory(nan_map, linalg.uniform_state(2, 2), 0, 10, [blocks.append])
+        run_trajectory(nan_map, linalg.uniform_state(2), 0, 10, [blocks.append])
     assert blocks == []
-    # with no samples, the state after the transient is checked
+    # after a transient, the first recorded state is already NaN
     with pytest.raises(RuntimeError, match="norm drifted"):
-        run_trajectory(nan_map, linalg.uniform_state(2, 2), 5, 0, [np.copy])
+        run_trajectory(nan_map, linalg.uniform_state(2), 5, 1, [blocks.append])
+    assert blocks == []

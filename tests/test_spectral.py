@@ -105,8 +105,6 @@ def test_prominent_peaks():
     got = set(np.round(p.frequencies[peaks], 4))
     assert 0.05 in got
     assert 0.31 in got
-    with pytest.raises(ValueError):
-        prominent_peaks(p, factor=0.0)
 
 
 def test_periodogram_validation():
