@@ -75,11 +75,11 @@ class ExperimentConfig:
             if self.samples < count:
                 raise ConfigError(f"{what} needs samples >= {count}, got {self.samples}")
 
-        if self.recurrence_plot and self.plot_radius is None:
-            raise ConfigError("recurrence_plot needs plot_radius")
         for section, key, field, read, check, switch in _KEYS:
             if _is_on(self, switch):
                 value = getattr(self, field)
+                if switch is not None and value is None:
+                    raise ConfigError(f"{switch} needs {key}")
                 _check(f"field {section}.{key}", _reads_back, read, value)
                 if check is not None:
                     _check(f"field {section}.{key}", check, value)
@@ -129,8 +129,14 @@ _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _is_on(cfg: ExperimentConfig, switch: str | None) -> bool:
-    """A switch (None: always on) is on when its field is not its default."""
-    return switch is None or getattr(cfg, switch) != _DEFAULTS[switch]
+    """A switch (None: always on) is on when its field is not its default.
+
+    A value of another type than the default's is on, so that its row's
+    type check refuses it: an array is never compared with ``!=``."""
+    if switch is None:
+        return True
+    value, default = getattr(cfg, switch), _DEFAULTS[switch]
+    return type(value) is not type(default) or value != default
 
 
 def _echo(value) -> str:
@@ -240,8 +246,9 @@ def _directory(value):
 # raises ValueError for a value the run would refuse.  A key is checked
 # and echoed while its switch, the field that turns its analysis on, is on
 # (always, with no switch), and setting it while the switch is off is an
-# error.  A switch's row precedes the rows it switches.  A key is required
-# when its field has no default.
+# error, as is leaving it None while the switch is on.  A switch's row
+# precedes the rows it switches, so a switch of the wrong type is named
+# before its keys.  A key is required when its field has no default.
 _KEYS = (
     ("network", "r", "r", float, QRNNParams, None),
     ("initial", "state", "initial_label", str, initial_state_vector, None),

@@ -14,10 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import full_diagonals, radius_bucket_counts, squared_bounds, squared_sums
+from . import _kernels_c, _kernels_py
+from ._kernels_py import full_diagonals, squared_bounds, squared_sums
 
-# Name of the kernel that computes the recurrence counts, for run records.
-KERNEL_BACKEND = "python"
+# The kernel that computes the recurrence counts, and its name for run
+# records: the compiled one when it could be built and loaded.
+if _kernels_c.radius_bucket_counts is None:
+    KERNEL_BACKEND, radius_bucket_counts = "python", _kernels_py.radius_bucket_counts
+else:
+    KERNEL_BACKEND, radius_bucket_counts = "c", _kernels_c.radius_bucket_counts
 
 # Rows of the recurrence plot computed at once, which bounds its memory.
 PLOT_CHUNK_ROWS = 512

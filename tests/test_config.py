@@ -278,6 +278,11 @@ def test_value_rules_hold_in_text_and_code(text, changes):
         (dict(samples="10"), "run.samples"),
         (dict(observers=("mean-field",), recurrence_radii=[0.1]), "analyses.recurrence_radii"),
         (dict(initial_label=None), "initial.state"),
+        (
+            dict(observers=("mean-field",), recurrence_radii=np.array([0.1, 0.2])),
+            "analyses.recurrence_radii",
+        ),
+        (dict(recurrence_plot="no"), "analyses.recurrence_plot"),
     ],
     ids=[
         "string-boolean",
@@ -287,6 +292,8 @@ def test_value_rules_hold_in_text_and_code(text, changes):
         "string-count",
         "radius-list",
         "no-state-label",
+        "radius-array",
+        "string-plot-switch",
     ],
 )
 def test_values_of_the_wrong_type_are_refused_in_code(changes, key):

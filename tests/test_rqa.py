@@ -2,19 +2,27 @@
 
 The load-bearing oracle is a brute-force T x T distance matrix built with
 the same coordinate accumulation order as the streaming kernel, so the
-streaming profile must match it exactly, not just within tolerance.
+streaming profile must match it exactly, not just within tolerance.  The
+numpy kernel and the compiled one face the same oracles.
 """
 
 import functools
+import hashlib
 import math
+import os
+import shutil
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qnetdyn.config import initial_state_vector
 from qnetdyn.fields import activity_mean_field
 from qnetdyn.network import QRNNParams, build_qrnn_map, run_trajectory
 from qnetdyn.rqa import (
@@ -30,8 +38,35 @@ from qnetdyn.rqa import (
     recurrence_stats,
     render_recurrence_plot,
 )
-from qnetdyn.rqa import _kernels_py, core
+from qnetdyn.rqa import _kernels_c, _kernels_py, core
 from qnetdyn.rqa._kernels_py import HEAD_ROWS, radius_bucket_counts
+from test_acceptance import (
+    PLUS_PLUS,
+    R_APERIODIC,
+    RECURRENCE_SWEEP_COUNTS_SHA256,
+    RECURRENCE_SWEEP_TARGETS,
+)
+
+# the numpy kernel, and the compiled one where it was built
+KERNELS = [_kernels_py.radius_bucket_counts] + [
+    count for count in [_kernels_c.radius_bucket_counts] if count is not None
+]
+mean_field = functools.partial(activity_mean_field, n=2)
+
+
+def profiles_by(kernel, pts, radii):
+    """``diagonal_profiles(pts, radii)``, counted by ``kernel``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "radius_bucket_counts", kernel)
+        return diagonal_profiles(pts, radii)
+
+
+@pytest.fixture(scope="module")
+def table2_trajectory():
+    """Table 2's mean-field trajectory: 20,000 samples at the aperiodic r."""
+    qrnn = build_qrnn_map(QRNNParams(R_APERIODIC))
+    (pts,) = run_trajectory(qrnn, PLUS_PLUS, 10001, 20000, [mean_field])
+    return pts
 
 
 def brute_counts(pts, radius):
@@ -93,7 +128,96 @@ def test_profile_validation_bounds():
         DiagonalProfile(4, 0.1, np.array([1, 1]))  # wrong shape
 
 
-def test_streaming_equals_brute_force():
+def test_compiled_kernel_is_loaded_where_a_compiler_exists():
+    # so the compiled kernel faces every oracle below wherever it can
+    assert core.KERNEL_BACKEND == ("python" if _kernels_c.radius_bucket_counts is None else "c")
+    if shutil.which("cc"):
+        assert core.KERNEL_BACKEND != "python"
+
+
+# A fresh interpreter importing qnetdyn prints its backend, the processes
+# the import started, the build modules it imported and a digest of counts.
+IMPORT_PROBE = """
+import hashlib, sys
+spawns = []
+starts = {"subprocess.Popen", "os.fork", "os.forkpty", "os.posix_spawn", "os.exec", "os.system"}
+sys.addaudithook(lambda event, args: event in starts and spawns.append(event))
+import qnetdyn
+print(qnetdyn.KERNEL_BACKEND)
+print(spawns)
+print(sorted({"setuptools", "distutils", "sysconfig"} & set(sys.modules)))
+import numpy as np
+from qnetdyn.rqa import diagonal_profiles
+profiles = diagonal_profiles(np.random.default_rng(3).random((400, 2)), [0.0, 0.05, 0.2])
+print(hashlib.sha256(b"".join(p.counts.tobytes() for p in profiles)).hexdigest())
+"""
+
+
+def run_import_probe(src, path=os.environ.get("PATH", "")):
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src), "PATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def warm_import():
+    """The probe's lines for this tree, whose library the tests' own import cached."""
+    built = _kernels_c.radius_bucket_counts is not None
+    before = _kernels_c.LIBRARY.stat().st_mtime_ns if built else None
+    lines = run_import_probe(Path(core.__file__).parents[2])
+    return lines, before
+
+
+def test_warm_import_starts_no_process_and_rebuilds_nothing(warm_import):
+    # the cost of importing qnetdyn: with the library cached, nothing is
+    # compiled, no process starts and no build machinery is imported
+    (backend, spawns, builders, _), before = warm_import
+    assert (backend, builders) == (core.KERNEL_BACKEND, "[]")
+    if before is not None:  # else every import tries the build again
+        assert spawns == "[]"
+        assert _kernels_c.LIBRARY.stat().st_mtime_ns == before
+
+
+@pytest.mark.parametrize(
+    "compiler", ["cc", None, "#!/bin/sh\nexit 1\n"], ids=["cc", "none", "fails"]
+)
+def test_cold_import_builds_once_or_falls_back(tmp_path, warm_import, compiler):
+    # a copy of the package with no library cached: a working compiler
+    # builds it, and a missing or failing one leaves the numpy kernel;
+    # either way the counts agree and no temporary file is left behind
+    src = tmp_path / "src"
+    package = Path(core.__file__).parents[1]
+    shutil.copytree(package, src / "qnetdyn", ignore=shutil.ignore_patterns("__pycache__"))
+    path = str(tmp_path)  # a directory with no cc, or the failing one
+    if compiler == "cc":
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler here")
+        path = os.environ["PATH"]
+    elif compiler is not None:
+        (tmp_path / "cc").write_text(compiler)
+        (tmp_path / "cc").chmod(0o755)
+    backend, spawns, builders, counts = run_import_probe(src, path)
+    # one compiler run, or one attempt at it
+    assert (backend, spawns, builders) == (
+        "c" if compiler == "cc" else "python",
+        "['subprocess.Popen']",
+        "[]",
+    )
+    assert counts == warm_import[0][3]
+    cache = src / "qnetdyn" / "rqa" / "__pycache__"
+    built = [entry.name for entry in cache.glob("_native.*")]
+    assert built == ([_kernels_c.LIBRARY.name] if compiler == "cc" else [])
+    if compiler == "cc":  # built once: the next import only loads it
+        assert run_import_probe(src, path)[:3] == ["c", "[]", "[]"]
+
+
+def test_streaming_equals_brute_force(kernels=KERNELS):
     # criterion: exact equality on random trajectories, including tie-prone
     # lattice points where distances collide with the radius
     rng = np.random.default_rng(7041)
@@ -106,33 +230,36 @@ def test_streaming_equals_brute_force():
         else:
             pts = rng.random((n, dim))
             radius = float(rng.random() * 0.8)
-        prof = diagonal_profile(pts, radius)
-        assert np.array_equal(prof.counts, brute_counts(pts, radius))
+        for kernel in kernels:
+            (prof,) = profiles_by(kernel, pts, [radius])
+            assert np.array_equal(prof.counts, brute_counts(pts, radius))
 
 
 def test_streaming_zero_radius_brute_force():
     rng = np.random.default_rng(88)
     pts = rng.integers(0, 2, size=(60, 2)).astype(float)
-    prof = diagonal_profile(pts, 0.0)
-    assert np.array_equal(prof.counts, brute_counts(pts, 0.0))
-    assert prof.counts.sum() > 0  # binary points collide
+    for kernel in KERNELS:
+        (prof,) = profiles_by(kernel, pts, [0.0])
+        assert np.array_equal(prof.counts, brute_counts(pts, 0.0))
+        assert prof.counts.sum() > 0  # binary points collide
 
 
-def test_bucket_prefilter_keeps_ties_on_largest_radius():
+def test_bucket_prefilter_keeps_ties_on_largest_radius(kernels=KERNELS):
     # lattice points put many pair distances exactly on the largest
     # radius, where the prefilter drops pairs before bucketing them
     rng = np.random.default_rng(61)
     for dim, top in ((1, 1.0), (2, math.sqrt(2.0)), (3, math.sqrt(3.0)), (2, 2.0)):
         pts = rng.integers(0, 3, size=(120, dim)).astype(float)
         radii = np.array([0.0, 0.5 * top, top])
-        cumulative = np.cumsum(radius_bucket_counts(pts, radii), axis=0)
-        for k, radius in enumerate(radii):
-            assert np.array_equal(cumulative[k], brute_counts(pts, radius))
+        for kernel in kernels:
+            cumulative = np.cumsum(kernel(pts, radii), axis=0)
+            for k, radius in enumerate(radii):
+                assert np.array_equal(cumulative[k], brute_counts(pts, radius))
         on_top = brute_counts(pts, top) - brute_counts(pts, np.nextafter(top, 0.0))
         assert on_top.sum() > 100
 
 
-def test_band_edges_match_brute_force():
+def test_band_edges_match_brute_force(kernels=KERNELS):
     # the kernel measures only pairs whose first-coordinate term alone is
     # within the largest bound; every case on or near that edge must
     # count exactly as the full distance matrix does
@@ -156,12 +283,31 @@ def test_band_edges_match_brute_force():
     cases.append((every, [0.3, 2.0]))
     flat = np.column_stack([np.full(70, 0.7), rng.random(70)])
     cases.append((flat, [0.05, 0.2]))
+    # the shortest trajectory: one pair, tied with the radius 1, sqrt(2)
+    # or sqrt(3) of its dimension
+    pairs = {dim: np.stack([np.zeros(dim), np.ones(dim)]) for dim in (1, 2, 3)}
+    cases += [(pair, [0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0)]) for pair in pairs.values()]
+    # a pair within its radius only when d1 * d1 is rounded before it is
+    # added to d0 * d0: a fused multiply-add would drop it
+    while True:
+        d0, d1 = rng.random(2)
+        fused = float(Fraction(d0 * d0) + Fraction(d1) ** 2)  # one rounding
+        unfused = np.array([[0.0, 0.0], [d0, d1]])
+        radius = math.sqrt(d0 * d0 + d1 * d1)
+        if fused > _kernels_py.squared_bounds([radius])[0]:
+            break
+    cases.append((unfused, [radius]))
     for pts, radii in cases:
-        cumulative = np.cumsum(radius_bucket_counts(pts, np.array(radii)), axis=0)
-        for k, radius in enumerate(radii):
-            assert np.array_equal(cumulative[k], brute_counts(pts, radius))
+        for kernel in kernels:
+            cumulative = np.cumsum(kernel(pts, np.array(radii)), axis=0)
+            for k, radius in enumerate(radii):
+                assert np.array_equal(cumulative[k], brute_counts(pts, radius))
     assert brute_counts(tiny, 1e-200).sum() == 3
     assert np.array_equal(brute_counts(every, 2.0), np.arange(69, 0, -1))
+    assert brute_counts(unfused, radius).tolist() == [1]
+    for dim, pair in pairs.items():
+        assert brute_counts(pair, math.sqrt(dim)).tolist() == [1]
+        assert brute_counts(pair, np.nextafter(math.sqrt(dim), 0.0)).tolist() == [0]
 
 
 @pytest.mark.parametrize("tile_pairs", [1, 2, 7, 64])
@@ -170,9 +316,9 @@ def test_small_tiles_match_brute_force(monkeypatch, tile_pairs):
     # tests above in one tile; tiny tiles exercise one-row tiles, rows
     # longer than a tile, ragged last tiles and the seams between tiles
     monkeypatch.setattr(_kernels_py, "TILE_PAIRS", tile_pairs)
-    test_streaming_equals_brute_force()
-    test_bucket_prefilter_keeps_ties_on_largest_radius()
-    test_band_edges_match_brute_force()
+    test_streaming_equals_brute_force([radius_bucket_counts])
+    test_bucket_prefilter_keeps_ties_on_largest_radius([radius_bucket_counts])
+    test_band_edges_match_brute_force([radius_bucket_counts])
 
 
 def test_default_tiles_match_brute_force():
@@ -191,8 +337,9 @@ def test_tile_padding_is_never_within_a_radius():
     # not the padding past the end of the trajectory that fills out the
     # shorter diagonals of a tile
     pts = np.random.default_rng(5).random((50, 2))
-    buckets = radius_bucket_counts(pts, np.array([0.5, np.finfo(np.float64).max]))
-    assert np.array_equal(buckets.sum(axis=0), np.arange(49, 0, -1))
+    for kernel in KERNELS:
+        buckets = kernel(pts, np.array([0.5, np.finfo(np.float64).max]))
+        assert np.array_equal(buckets.sum(axis=0), np.arange(49, 0, -1))
 
 
 @pytest.mark.parametrize(
@@ -220,17 +367,19 @@ def test_squared_bound_decides_as_sqrt(radius):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_counts_do_not_depend_on_thread_count(monkeypatch, cpus):
     # tiny tiles give the lattice and tie cases of the two tests above
-    # many tiles, which are dealt out to one thread per CPU
+    # many tiles, which are dealt out to one thread per CPU; the compiled
+    # kernel deals out the diagonal offsets
     monkeypatch.setattr(_kernels_py, "TILE_PAIRS", 7)
     monkeypatch.setattr(_kernels_py, "usable_cpus", lambda: cpus)
-    on_main = set()
-    count_tiles = _kernels_py._count_tiles
+    workers = [(_kernels_py, "_count_tiles"), (_kernels_c, "_walk")][: len(KERNELS)]
+    on_main = {name: set() for _, name in workers}
+    for owner, name in workers:
 
-    def spy(*args):
-        on_main.add(threading.current_thread() is threading.main_thread())
-        count_tiles(*args)
+        def spy(*args, work=getattr(owner, name), seen=on_main[name]):
+            seen.add(threading.current_thread() is threading.main_thread())
+            work(*args)
 
-    monkeypatch.setattr(_kernels_py, "_count_tiles", spy)
+        monkeypatch.setattr(owner, name, spy)
     # switching threads every few bytecodes interleaves the tiles finely
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -239,7 +388,8 @@ def test_counts_do_not_depend_on_thread_count(monkeypatch, cpus):
         test_bucket_prefilter_keeps_ties_on_largest_radius()
     finally:
         sys.setswitchinterval(interval)
-    assert (False in on_main) == (cpus > 1)
+    for seen in on_main.values():
+        assert (False in seen) == (cpus > 1)
 
 
 def test_kernel_leaves_no_thread_running(monkeypatch):
@@ -260,15 +410,36 @@ def test_kernel_leaves_no_thread_running(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_table2_counts_are_pinned(table2_trajectory):
+    radii = [row[0] for row in RECURRENCE_SWEEP_TARGETS]
+    for kernel in KERNELS:
+        profiles = profiles_by(kernel, table2_trajectory, radii)
+        digest = hashlib.sha256(b"".join(p.counts.astype("<i8").tobytes() for p in profiles))
+        assert digest.hexdigest() == RECURRENCE_SWEEP_COUNTS_SHA256
+
+
+@pytest.mark.parametrize("r, start, period", [(0.0, "plus-plus", 1), (1.0, "basis:01", 3)])
+def test_degenerate_sweep_rows(r, start, period):
+    # the ends of a sweep over r: at r = 0 the map fixes every state, so
+    # every pair recurs; at r = 1 the mean field cycles with period 3
+    qrnn = build_qrnn_map(QRNNParams(r))
+    (pts,) = run_trajectory(qrnn, initial_state_vector(start), 100, 300, [mean_field])
+    for kernel in KERNELS:
+        profiles = profiles_by(kernel, pts, [0.0, 0.01, 0.1])
+        for prof in profiles:
+            assert np.array_equal(prof.counts, brute_counts(pts, prof.radius))
+        for prof in profiles[1:]:  # the sweep's radii
+            assert prof.full_offsets().tolist() == list(range(period, 300, period))
+            assert np.count_nonzero(prof.counts) == 299 // period
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_kernel_peak_memory_is_bounded(monkeypatch, threads):
+def test_kernel_peak_memory_is_bounded(monkeypatch, threads, table2_trajectory):
     # table2's pass over a mean-field trajectory: the traced peak stays
     # within a small multiple of the output (about 2.5 times on one
     # thread, 3.5 on two), which a histogram per thread would break
     monkeypatch.setattr(_kernels_py, "_thread_budget", threads)
-    qrnn = build_qrnn_map(QRNNParams(0.550129597))
-    mean_field = functools.partial(activity_mean_field, n=2)
-    (pts,) = run_trajectory(qrnn, np.full(4, 0.5, dtype=complex), 10001, 20000, [mean_field])
+    pts = table2_trajectory
     radii = np.array([0.0, 0.001, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1])
     tracemalloc.start()
     try:
