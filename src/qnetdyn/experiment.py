@@ -32,7 +32,7 @@ from .config import ExperimentConfig
 from .entropy import check_entropy_range, entropy_observer, entropy_stats
 from .fields import activity_mean_field, check_activity_bounds
 from .network import QRNNParams, build_qrnn_map, run_trajectory
-from .rqa import _kernels_py
+from .rqa import _kernels_c
 from .rqa import (
     diagonal_profile,  # noqa: F401  unused; perfbench/layers.py wraps this attribute
     diagonal_profiles,
@@ -366,10 +366,10 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=None) 
     workers = min(workers, len(jobs))
     if workers > 1:
         # the workers' recurrence kernels share the CPUs: one thread per CPU in all
-        threads = max(1, _kernels_py.usable_cpus() // workers)
+        threads = max(1, _kernels_c.usable_cpus() // workers)
         with ProcessPoolExecutor(
             max_workers=workers,
-            initializer=_kernels_py.set_thread_budget,
+            initializer=_kernels_c.set_thread_budget,
             initargs=(threads,),
         ) as pool:
             results = list(pool.map(_sweep_row, jobs))

@@ -3,17 +3,20 @@
 ``_native.c`` is compiled once per source and flags, into
 ``__pycache__/_native.<digest>.so`` beside it, and loaded with ctypes,
 whose foreign calls release the interpreter lock.  Importing this module
-with that file present only loads it.  A missing file is built with
-``cc`` into a temporary name in the same directory, then published with
-``os.replace``, so concurrent builds never load a half-written library.
+with that file present only loads it.  A missing file is built, when
+``cc`` is on PATH, into a temporary name in the same directory, then
+published with ``os.replace``, so concurrent builds never load a
+half-written library; the libraries of other digests are then deleted.
 If the build or the load fails, ``radius_bucket_counts`` is None and the
-numpy kernel counts instead.
+numpy kernel counts instead.  The thread budget is kept here, with the
+only recurrence kernel that starts threads.
 """
 
 import ctypes
 import functools
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -29,9 +32,30 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _DIGEST = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode()).hexdigest()
 LIBRARY = SOURCE.parent / "__pycache__" / f"{SOURCE.stem}.{_DIGEST}.so"
 
+# Threads one recurrence pass may use; None means one per usable CPU.
+_thread_budget = None
+
+
+def set_thread_budget(threads):
+    """Cap the threads of every later recurrence pass in this process.
+
+    Each worker of a sweep's pool sets its share of the CPUs here, so the
+    workers' kernels together run one thread per CPU.
+    """
+    global _thread_budget
+    _thread_budget = threads
+
+
+def usable_cpus():
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
 
 def _build():
-    """Compile SOURCE to LIBRARY; raise OSError or SubprocessError on failure."""
+    """Compile SOURCE to LIBRARY, pruning other digests; raise OSError or SubprocessError."""
     LIBRARY.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f"{LIBRARY.stem}.", suffix=".tmp", dir=LIBRARY.parent)
     os.close(fd)
@@ -44,6 +68,8 @@ def _build():
         )
         os.chmod(tmp, 0o755)  # readable by all, as the file beside it
         os.replace(tmp, LIBRARY)
+        for stale in set(LIBRARY.parent.glob(f"{SOURCE.stem}.*.so")) - {LIBRARY}:
+            stale.unlink(missing_ok=True)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -52,7 +78,7 @@ def _build():
 def _load():
     """The compiled kernel function, built on a cache miss; None if it fails."""
     try:
-        if not LIBRARY.is_file():
+        if not LIBRARY.is_file() and shutil.which("cc"):  # with no cc, the load fails
             _build()
         walk = ctypes.CDLL(str(LIBRARY)).radius_bucket_counts
     except (OSError, AttributeError, subprocess.SubprocessError):
@@ -75,8 +101,8 @@ def _radius_bucket_counts(points, radii):
     whose full sum, exceeds the largest bound is skipped, and the rest
     are bucketed by a linear scan over ``squared_bounds(radii)``.  Offset d is counted by
     thread (d - 1) mod n of n threads, one per usable CPU or as many as
-    ``_kernels_py.set_thread_budget`` allows: each thread owns whole
-    columns of the histogram, so no increment is shared.
+    ``set_thread_budget`` allows: each thread owns whole columns of the
+    histogram, so no increment is shared.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     n_time, dim = points.shape
@@ -84,7 +110,7 @@ def _radius_bucket_counts(points, radii):
     if dim < 1 or bounds.shape[0] < 1:  # the walk reads a first coordinate and a last bound
         raise ValueError(f"need points with coordinates and radii, got {points.shape}, {radii!r}")
     buckets = np.zeros((bounds.shape[0], n_time), dtype=np.int64)  # column d: offset d
-    n_threads = max(1, min(_kernels_py._thread_budget or _kernels_py.usable_cpus(), n_time - 1))
+    n_threads = max(1, min(_thread_budget or usable_cpus(), n_time - 1))
     # the arrays stay referenced here until every walk over them returns
     walk = functools.partial(
         _walk, points.ctypes.data, n_time, dim, bounds.ctypes.data, bounds.shape[0]

@@ -9,11 +9,7 @@ sum lies within a bound exactly when its square root lies within the
 radius.
 """
 
-import functools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,31 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 # rows leave about 1,200 of 19,999 diagonals, nearly all of them full.
 HEAD_ROWS = 8
 
-# Pairs per tile of sorted rows.  At 32,768 table2's pass took a third longer
-# on two threads, because the per-call overhead holds the interpreter lock.
+# Pairs per tile of sorted rows.  Table2's pass took the same time from 16,384
+# to 131,072; at 262,144, whose scratch is 4 MB, it took 7% longer.
 TILE_PAIRS = 65_536
-
-
-# Threads one recurrence pass may use; None means one per usable CPU.
-_thread_budget = None
-
-
-def set_thread_budget(threads):
-    """Cap the threads of every later recurrence pass in this process.
-
-    Each worker of a sweep's pool sets its share of the CPUs here, so the
-    workers' kernels together run one thread per CPU.
-    """
-    global _thread_budget
-    _thread_budget = threads
-
-
-def usable_cpus():
-    """CPUs this process may run on: its affinity set, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def squared_bounds(radii):
@@ -92,30 +66,6 @@ def squared_sums(lead, lag, acc=None, diff=None):
     return acc
 
 
-def _count_tiles(later, rows, times, bounds, buckets, lock, tiles, scratch):
-    """Bucket each ``(s, g, w)`` tile: sorted rows s .. s+g-1, each with its next w.
-
-    ``scratch``, two rows of the largest tile's size, is this call's own.
-    """
-    later_times = sliding_window_view(times, later[0].shape[1])
-    for s, g, w in tiles:
-        acc, diff = scratch[:, : g * w]
-        lead = [v[s + 1 : s + 1 + g, :w] for v in later]
-        squared_sums(lead, rows[:, s : s + g, None], acc.reshape(g, w), diff.reshape(g, w))
-        pos = np.flatnonzero(acc <= bounds[-1])
-        hits = np.take(acc, pos, out=diff[: pos.size], mode="clip")
-        # side="left": first bound >= acc, so ties land inside (closed ball)
-        idx = np.searchsorted(bounds, hits, side="left")
-        idx *= buckets.shape[1]
-        # the sums are spent: the scratch takes each pair's time offset, its column
-        gaps = acc.view(np.int32)[: g * w].reshape(g, w)
-        np.subtract(later_times[s + 1 : s + 1 + g, :w], times[s : s + g, None], out=gaps)
-        offsets = np.take(gaps, pos, out=diff.view(np.int32)[: pos.size], mode="clip")
-        idx += np.abs(offsets, out=offsets)
-        with lock:  # the one histogram is shared
-            np.add.at(buckets.reshape(-1), idx, 1)
-
-
 def radius_bucket_counts(points, radii):
     """Histogram pair distances per diagonal offset into radius buckets.
 
@@ -131,10 +81,7 @@ def radius_bucket_counts(points, radii):
     of consecutive sorted rows holding at most TILE_PAIRS pairs (or one
     longer row), each cut to the tile's widest band: pairs past a row's
     band, and +inf points past the last one, exceed every bound.  The
-    tiles are dealt out round-robin to one thread per usable CPU, or to
-    as many as ``set_thread_budget`` allows; numpy releases the
-    interpreter lock inside each pass, and the counts do not depend on
-    the thread count.
+    tiles are counted in turn, in the calling thread.
     """
     n_time, dim = points.shape
     bounds = squared_bounds(radii)
@@ -162,19 +109,24 @@ def radius_bucket_counts(points, radii):
     times = np.pad(order.astype(np.int32), (0, w_max))
     del order, width
     later = [sliding_window_view(row, w_max) for row in rows]  # [k][i, c]: sorted point i + c + 1
-    n_threads = min(_thread_budget or usable_cpus(), len(tiles))
-    size = max(g * w for _, g, w in tiles)
-    # the calling thread allocates every thread's scratch: under glibc, what
-    # a worker thread allocates stays resident in its malloc arena after it
-    # exits (recurrence-mf's peak RSS grew about 6 MB that way, 3.8 MB this way)
-    shares = [(tiles[i::n_threads], np.empty((2, size))) for i in range(n_threads)]
-    count = functools.partial(_count_tiles, later, rows, times, bounds, buckets, threading.Lock())
-    if n_threads == 1:
-        count(*shares[0])
-    else:
-        # leaving the block joins every thread, so none outlives the call
-        with ThreadPoolExecutor(n_threads) as pool:
-            list(pool.map(lambda share: count(*share), shares))
+    later_times = sliding_window_view(times, w_max)
+    # two rows of the largest tile's size, reused by every tile
+    scratch = np.empty((2, max(g * w for _, g, w in tiles)))
+    for s, g, w in tiles:  # sorted rows s .. s+g-1, each with its next w
+        acc, diff = scratch[:, : g * w]
+        lead = [v[s + 1 : s + 1 + g, :w] for v in later]
+        squared_sums(lead, rows[:, s : s + g, None], acc.reshape(g, w), diff.reshape(g, w))
+        pos = np.flatnonzero(acc <= bounds[-1])
+        hits = np.take(acc, pos, out=diff[: pos.size], mode="clip")
+        # side="left": first bound >= acc, so ties land inside (closed ball)
+        idx = np.searchsorted(bounds, hits, side="left")
+        idx *= buckets.shape[1]
+        # the sums are spent: the scratch takes each pair's time offset, its column
+        gaps = acc.view(np.int32)[: g * w].reshape(g, w)
+        np.subtract(later_times[s + 1 : s + 1 + g, :w], times[s : s + g, None], out=gaps)
+        offsets = np.take(gaps, pos, out=diff.view(np.int32)[: pos.size], mode="clip")
+        idx += np.abs(offsets, out=offsets)
+        np.add.at(buckets.reshape(-1), idx, 1)
     return buckets[:, 1:]
 
 

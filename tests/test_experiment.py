@@ -22,7 +22,7 @@ from qnetdyn.experiment import (
 )
 from qnetdyn.linalg import DRIFT_TOL
 from qnetdyn.network import QRNNParams, build_qrnn_map, run_trajectory
-from qnetdyn.rqa import LineDistanceHistogram, RecurrenceStats, _kernels_py
+from qnetdyn.rqa import LineDistanceHistogram, RecurrenceStats, _kernels_c
 from qnetdyn.spectral import power_spectrum
 
 FULL = """
@@ -475,7 +475,7 @@ def test_sweep_pool_capped_at_row_count(tmp_path, monkeypatch):
         maps in this process."""
 
         def __init__(self, max_workers, initializer, initargs):
-            assert initializer is _kernels_py.set_thread_budget
+            assert initializer is _kernels_c.set_thread_budget
             (budget,) = initargs
             pools.append((max_workers, budget))
             initializer(*initargs)
@@ -490,16 +490,16 @@ def test_sweep_pool_capped_at_row_count(tmp_path, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(_kernels_py, "_thread_budget", None)
+    monkeypatch.setattr(_kernels_c, "_thread_budget", None)
     cpus = [8]
-    monkeypatch.setattr(_kernels_py, "usable_cpus", lambda: cpus[0])
+    monkeypatch.setattr(_kernels_c, "usable_cpus", lambda: cpus[0])
     base = parse_config(FULL.replace("samples = 60", "samples = 40"))
     serial = run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "s", workers=1)
     assert pools == []
     capped = run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "p", workers=5000)
     # 8 CPUs over 3 workers: 2 kernel threads each
     assert pools == [(3, 2)]
-    assert _kernels_py._thread_budget == 2
+    assert _kernels_c._thread_budget == 2
     assert capped.read_bytes() == serial.read_bytes()
     run_sweep(base, [0.1, 0.5, 0.9], tmp_path / "two", workers=2)
     assert pools == [(3, 2), (2, 4)]

@@ -51,6 +51,7 @@ from test_acceptance import (
 KERNELS = [_kernels_py.radius_bucket_counts] + [
     count for count in [_kernels_c.radius_bucket_counts] if count is not None
 ]
+KERNEL_IDS = ["python", "c"][: len(KERNELS)]
 mean_field = functools.partial(activity_mean_field, n=2)
 
 
@@ -189,28 +190,31 @@ def test_warm_import_starts_no_process_and_rebuilds_nothing(warm_import):
 )
 def test_cold_import_builds_once_or_falls_back(tmp_path, warm_import, compiler):
     # a copy of the package with no library cached: a working compiler
-    # builds it, and a missing or failing one leaves the numpy kernel;
-    # either way the counts agree and no temporary file is left behind
+    # builds it and deletes the library of an older source, and a missing
+    # or failing one leaves the numpy kernel; either way the counts agree
+    # and no temporary file is left behind
     src = tmp_path / "src"
     package = Path(core.__file__).parents[1]
     shutil.copytree(package, src / "qnetdyn", ignore=shutil.ignore_patterns("__pycache__"))
+    cache = src / "qnetdyn" / "rqa" / "__pycache__"
     path = str(tmp_path)  # a directory with no cc, or the failing one
     if compiler == "cc":
         if shutil.which("cc") is None:
             pytest.skip("no C compiler here")
         path = os.environ["PATH"]
+        cache.mkdir()
+        (cache / f"_native.{'0' * 64}.so").write_bytes(b"")
     elif compiler is not None:
         (tmp_path / "cc").write_text(compiler)
         (tmp_path / "cc").chmod(0o755)
     backend, spawns, builders, counts = run_import_probe(src, path)
-    # one compiler run, or one attempt at it
+    # one compiler run, or one attempt at it; with no cc, no process at all
     assert (backend, spawns, builders) == (
         "c" if compiler == "cc" else "python",
-        "['subprocess.Popen']",
+        "[]" if compiler is None else "['subprocess.Popen']",
         "[]",
     )
     assert counts == warm_import[0][3]
-    cache = src / "qnetdyn" / "rqa" / "__pycache__"
     built = [entry.name for entry in cache.glob("_native.*")]
     assert built == ([_kernels_c.LIBRARY.name] if compiler == "cc" else [])
     if compiler == "cc":  # built once: the next import only loads it
@@ -366,48 +370,75 @@ def test_squared_bound_decides_as_sqrt(radius):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_counts_do_not_depend_on_thread_count(monkeypatch, cpus):
-    # tiny tiles give the lattice and tie cases of the two tests above
-    # many tiles, which are dealt out to one thread per CPU; the compiled
-    # kernel deals out the diagonal offsets
-    monkeypatch.setattr(_kernels_py, "TILE_PAIRS", 7)
-    monkeypatch.setattr(_kernels_py, "usable_cpus", lambda: cpus)
-    workers = [(_kernels_py, "_count_tiles"), (_kernels_c, "_walk")][: len(KERNELS)]
-    on_main = {name: set() for _, name in workers}
-    for owner, name in workers:
+    # the compiled kernel deals out the diagonal offsets to one thread per
+    # CPU; the lattice and tie cases of the two tests above must not move
+    if _kernels_c.radius_bucket_counts is None:
+        pytest.skip("no compiled kernel here")
+    monkeypatch.setattr(_kernels_c, "usable_cpus", lambda: cpus)
+    on_main = set()
 
-        def spy(*args, work=getattr(owner, name), seen=on_main[name]):
-            seen.add(threading.current_thread() is threading.main_thread())
-            work(*args)
+    def spy(*args, work=_kernels_c._walk):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        work(*args)
 
-        monkeypatch.setattr(owner, name, spy)
-    # switching threads every few bytecodes interleaves the tiles finely
+    monkeypatch.setattr(_kernels_c, "_walk", spy)
+    # switching threads every few bytecodes interleaves the walks' starts finely
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        test_streaming_equals_brute_force()
-        test_bucket_prefilter_keeps_ties_on_largest_radius()
+        test_streaming_equals_brute_force([_kernels_c.radius_bucket_counts])
+        test_bucket_prefilter_keeps_ties_on_largest_radius([_kernels_c.radius_bucket_counts])
     finally:
         sys.setswitchinterval(interval)
-    for seen in on_main.values():
-        assert (False in seen) == (cpus > 1)
+    assert (False in on_main) == (cpus > 1)
+
+
+def test_numpy_kernel_runs_in_the_calling_thread(monkeypatch):
+    # the thread budget is the compiled kernel's alone: however many CPUs,
+    # the numpy kernel measures every tile in the thread that called it
+    monkeypatch.setattr(_kernels_c, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(_kernels_py, "TILE_PAIRS", 7)
+    on_main = set()
+
+    def spy(*args, work=_kernels_py.squared_sums):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return work(*args)
+
+    monkeypatch.setattr(_kernels_py, "squared_sums", spy)
+    pts = np.random.default_rng(9).random((200, 2))
+    radius_bucket_counts(pts, np.array([0.1, 0.3]))
+    assert on_main == {True}
 
 
 def test_kernel_leaves_no_thread_running(monkeypatch):
     # run_sweep's fork pool must never fork while kernel threads are live,
-    # after a count and after a count that fails in its threads
-    monkeypatch.setattr(_kernels_py, "usable_cpus", lambda: 3)
+    # after a count and after a count that fails
+    monkeypatch.setattr(_kernels_c, "usable_cpus", lambda: 3)
     pts = np.random.default_rng(9).random((600, 2))
     before = threading.active_count()
-    radius_bucket_counts(pts, np.array([0.1, 0.3]))
-    assert threading.active_count() == before
-    # every pair is in the band of its first coordinates, which the calling
-    # thread squares; the second coordinate overflows only in the tiles
+    for kernel in KERNELS:
+        kernel(pts, np.array([0.1, 0.3]))
+        assert threading.active_count() == before
+    # every pair is in the band of its first coordinates, which the numpy
+    # kernel squares first; the second coordinate overflows only in the tiles
     overflowing = pts * [0.1, 1e200]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning, match="overflow"):
             radius_bucket_counts(overflowing, np.array([0.1, 0.3]))
     assert threading.active_count() == before
+    if _kernels_c.radius_bucket_counts is not None:
+
+        def failing(*args, work=_kernels_c._walk):
+            # the compiled kernel's second thread, whose first offset is 2, fails
+            if args[-3] == 2:
+                raise RuntimeError("walk failed")
+            work(*args)
+
+        monkeypatch.setattr(_kernels_c, "_walk", failing)
+        with pytest.raises(RuntimeError, match="walk failed"):
+            _kernels_c.radius_bucket_counts(pts, np.array([0.1, 0.3]))
+        assert threading.active_count() == before
 
 
 def test_table2_counts_are_pinned(table2_trajectory):
@@ -433,17 +464,17 @@ def test_degenerate_sweep_rows(r, start, period):
             assert np.count_nonzero(prof.counts) == 299 // period
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_kernel_peak_memory_is_bounded(monkeypatch, threads, table2_trajectory):
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_kernel_peak_memory_is_bounded(kernel, table2_trajectory):
     # table2's pass over a mean-field trajectory: the traced peak stays
-    # within a small multiple of the output (about 2.5 times on one
-    # thread, 3.5 on two), which a histogram per thread would break
-    monkeypatch.setattr(_kernels_py, "_thread_budget", threads)
+    # within a small multiple of the output (about 2.5 times for the numpy
+    # kernel, 1.0 for the compiled one), which a histogram per thread
+    # would break
     pts = table2_trajectory
     radii = np.array([0.0, 0.001, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1])
     tracemalloc.start()
     try:
-        buckets = radius_bucket_counts(pts, radii)
+        buckets = kernel(pts, radii)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
