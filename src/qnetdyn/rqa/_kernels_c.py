@@ -7,6 +7,9 @@ with that file present only loads it.  A missing file is built, when
 ``cc`` is on PATH, into a temporary name in the same directory, then
 published with ``os.replace``, so concurrent builds never load a
 half-written library; the libraries of other digests are then deleted.
+A compiler that refuses the source is published the same way, as a file
+holding its error output, which later imports fail to load without
+starting a process; a new digest or a deleted ``__pycache__`` retries.
 If the build or the load fails, ``radius_bucket_counts`` is None and the
 numpy kernel counts instead.  The thread budget is kept here, with the
 only recurrence kernel that starts threads.
@@ -55,17 +58,18 @@ def usable_cpus():
 
 
 def _build():
-    """Compile SOURCE to LIBRARY, pruning other digests; raise OSError or SubprocessError."""
+    """Compile SOURCE to LIBRARY, else store there cc's refusal; prune other digests."""
     LIBRARY.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f"{LIBRARY.stem}.", suffix=".tmp", dir=LIBRARY.parent)
     os.close(fd)
     try:
-        subprocess.run(
-            ["cc", *CFLAGS, "-o", tmp, str(SOURCE)],
-            check=True,
-            capture_output=True,
-            timeout=120,
+        cc = subprocess.run(
+            ["cc", *CFLAGS, "-o", tmp, str(SOURCE)], capture_output=True, timeout=120
         )
+        if cc.returncode < 0:  # a signal, not a verdict on the source: not remembered
+            raise subprocess.CalledProcessError(cc.returncode, cc.args)
+        if cc.returncode > 0:  # refused: remembered as a library that cannot load
+            Path(tmp).write_bytes(cc.stderr)
         os.chmod(tmp, 0o755)  # readable by all, as the file beside it
         os.replace(tmp, LIBRARY)
         for stale in set(LIBRARY.parent.glob(f"{SOURCE.stem}.*.so")) - {LIBRARY}:

@@ -1,4 +1,4 @@
-"""Numpy kernels for squared pair distances and banded recurrence counts.
+"""Numpy kernels for squared pair distances and recurrence counts.
 
 Every recurrence output sums squared coordinate differences through
 ``squared_sums`` and compares them with ``squared_bounds``, so the
@@ -6,22 +6,19 @@ kernel counts, the full-diagonal query and the plot pixels agree
 exactly at the closed threshold: coordinates are accumulated in
 ascending index order, no fused multiply-add is allowed, and a squared
 sum lies within a bound exactly when its square root lies within the
-radius.
+radius.  ``radius_bucket_counts`` is the fallback where no compiled walk
+loads, and the oracle that the walk is checked against: it measures
+every pair, offset by offset, and shares none of the walk's pruning.
 """
 
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # Leading rows that screen every diagonal before any is scanned in full.
 # On table3's mean-field trajectory (20,000 points at radius 0.1) eight
 # rows leave about 1,200 of 19,999 diagonals, nearly all of them full.
 HEAD_ROWS = 8
-
-# Pairs per tile of sorted rows.  Table2's pass took the same time from 16,384
-# to 131,072; at 262,144, whose scratch is 4 MB, it took 7% longer.
-TILE_PAIRS = 65_536
 
 
 def squared_bounds(radii):
@@ -46,23 +43,19 @@ def squared_bounds(radii):
     return np.array(bounds, dtype=np.float64)
 
 
-def squared_sums(lead, lag, acc=None, diff=None):
+def squared_sums(lead, lag):
     """Squared Euclidean distances between points given as coordinate rows.
 
     ``lead[k]`` and ``lag[k]`` hold coordinate k and broadcast against
     each other.  Squared differences are summed in ascending coordinate
-    order.  The arithmetic runs in place, in ``acc`` and ``diff`` when
-    given: with a fresh temporary for every product and sum, table2's
-    12-radius pass over 20,000 points took 2.8 s instead of 2.2 s (glibc
-    2.36), because the allocator hands arrays of that size back to the
-    system and faults them in again on every offset.
+    order, each product and sum rounded on its own.
     """
-    acc = np.subtract(lead[0], lag[0], out=acc)
-    np.multiply(acc, acc, out=acc)
+    acc = lead[0] - lag[0]
+    acc *= acc
     for a, b in zip(lead[1:], lag[1:]):
-        diff = np.subtract(a, b, out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add(acc, diff, out=acc)
+        diff = a - b
+        diff *= diff
+        acc += diff
     return acc
 
 
@@ -74,60 +67,19 @@ def radius_bucket_counts(points, radii):
     whose smallest covering radius is radii[k] (closed threshold).
     Pairs farther than radii[-1] are dropped before they are bucketed.
     Cumulative sums over the radius axis therefore give per-radius
-    recurrence counts.  Only a band is measured: sorted once on the
-    first coordinate, point s meets the later points whose first term
-    of ``squared_sums`` alone is within radii[-1], as no rounded sum of
-    squares is below one of its terms.  Each numpy pass measures a tile
-    of consecutive sorted rows holding at most TILE_PAIRS pairs (or one
-    longer row), each cut to the tile's widest band: pairs past a row's
-    band, and +inf points past the last one, exceed every bound.  The
-    tiles are counted in turn, in the calling thread.
+    recurrence counts.  Every pair is measured once, offset by offset,
+    with no prefilter, so this count checks the compiled walk's pruning.
     """
-    n_time, dim = points.shape
+    n_time = points.shape[0]
     bounds = squared_bounds(radii)
-    buckets = np.zeros((bounds.shape[0], n_time), dtype=np.int64)  # column d: offset d
-    order = np.argsort(points[:, 0])
-    first = points[order, 0]
-    # bisect for the last row of each band, a run because rounding is monotone
-    lo, hi = np.arange(n_time), np.full(n_time, n_time)
-    for _ in range(n_time.bit_length()):
-        mid = (lo + hi) // 2
-        near = squared_sums([first[mid]], [first]) <= bounds[-1]
-        lo, hi = np.where(near, mid, lo), np.where(near, hi, mid)
-    width = lo - np.arange(n_time)
-    del first, lo, hi, mid, near
-    tiles, s = [], 0
-    while s < n_time - 1:
-        # no tile is narrower than its first row, which caps its row count
-        widest = np.maximum.accumulate(width[s : s + max(1, TILE_PAIRS // max(1, width[s]))])
-        g = max(1, int(np.count_nonzero(widest * np.arange(1, widest.size + 1) <= TILE_PAIRS)))
-        tiles.append((s, g, int(widest[g - 1])))
-        s += g
-    w_max = max(w for _, _, w in tiles)
-    rows = np.full((dim, n_time + w_max), np.inf)  # one contiguous row per sorted coordinate
-    rows[:, :n_time] = points[order].T
-    times = np.pad(order.astype(np.int32), (0, w_max))
-    del order, width
-    later = [sliding_window_view(row, w_max) for row in rows]  # [k][i, c]: sorted point i + c + 1
-    later_times = sliding_window_view(times, w_max)
-    # two rows of the largest tile's size, reused by every tile
-    scratch = np.empty((2, max(g * w for _, g, w in tiles)))
-    for s, g, w in tiles:  # sorted rows s .. s+g-1, each with its next w
-        acc, diff = scratch[:, : g * w]
-        lead = [v[s + 1 : s + 1 + g, :w] for v in later]
-        squared_sums(lead, rows[:, s : s + g, None], acc.reshape(g, w), diff.reshape(g, w))
-        pos = np.flatnonzero(acc <= bounds[-1])
-        hits = np.take(acc, pos, out=diff[: pos.size], mode="clip")
-        # side="left": first bound >= acc, so ties land inside (closed ball)
-        idx = np.searchsorted(bounds, hits, side="left")
-        idx *= buckets.shape[1]
-        # the sums are spent: the scratch takes each pair's time offset, its column
-        gaps = acc.view(np.int32)[: g * w].reshape(g, w)
-        np.subtract(later_times[s + 1 : s + 1 + g, :w], times[s : s + g, None], out=gaps)
-        offsets = np.take(gaps, pos, out=diff.view(np.int32)[: pos.size], mode="clip")
-        idx += np.abs(offsets, out=offsets)
-        np.add.at(buckets.reshape(-1), idx, 1)
-    return buckets[:, 1:]
+    rows = np.ascontiguousarray(points.T)
+    buckets = np.empty((bounds.shape[0], n_time - 1), dtype=np.int64)
+    for d in range(1, n_time):
+        sums = squared_sums(rows[:, d:], rows[:, : n_time - d])
+        # side="left": first bound >= the sum, so ties land inside (closed ball)
+        idx = np.searchsorted(bounds, sums[sums <= bounds[-1]], side="left")
+        buckets[:, d - 1] = np.bincount(idx, minlength=bounds.shape[0])
+    return buckets
 
 
 def full_diagonals(points, radius):

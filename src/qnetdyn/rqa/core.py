@@ -3,8 +3,9 @@
 A pair of trajectory points is recurrent when their Euclidean distance is
 at most the configured radius.  The threshold is closed so that exactly
 periodic orbits produce fully recurrent diagonals instead of losing ties
-to rounding.  One pass over the band of pairs whose first coordinates
-lie within the largest radius gives every profile; no T x T matrix is built.
+to rounding.  One pass over the pairs, offset by offset, gives every
+profile, and no T x T matrix is built; only the compiled walk skips the
+pairs whose first coordinates alone lie farther apart than the largest radius.
 """
 
 from __future__ import annotations

@@ -180,19 +180,22 @@ def test_warm_import_starts_no_process_and_rebuilds_nothing(warm_import):
     # compiled, no process starts and no build machinery is imported
     (backend, spawns, builders, _), before = warm_import
     assert (backend, builders) == (core.KERNEL_BACKEND, "[]")
-    if before is not None:  # else every import tries the build again
+    if before is not None:  # else no library loaded in this tree
         assert spawns == "[]"
         assert _kernels_c.LIBRARY.stat().st_mtime_ns == before
 
 
 @pytest.mark.parametrize(
-    "compiler", ["cc", None, "#!/bin/sh\nexit 1\n"], ids=["cc", "none", "fails"]
+    "compiler",
+    ["cc", None, "#!/bin/sh\necho refused >&2\nexit 1\n"],
+    ids=["cc", "none", "fails"],
 )
 def test_cold_import_builds_once_or_falls_back(tmp_path, warm_import, compiler):
     # a copy of the package with no library cached: a working compiler
     # builds it and deletes the library of an older source, and a missing
     # or failing one leaves the numpy kernel; either way the counts agree
-    # and no temporary file is left behind
+    # and no temporary file is left behind.  A failing compiler's refusal
+    # is cached under the library's name, so it too runs only once
     src = tmp_path / "src"
     package = Path(core.__file__).parents[1]
     shutil.copytree(package, src / "qnetdyn", ignore=shutil.ignore_patterns("__pycache__"))
@@ -216,9 +219,11 @@ def test_cold_import_builds_once_or_falls_back(tmp_path, warm_import, compiler):
     )
     assert counts == warm_import[0][3]
     built = [entry.name for entry in cache.glob("_native.*")]
-    assert built == ([_kernels_c.LIBRARY.name] if compiler == "cc" else [])
-    if compiler == "cc":  # built once: the next import only loads it
-        assert run_import_probe(src, path)[:3] == ["c", "[]", "[]"]
+    assert built == ([] if compiler is None else [_kernels_c.LIBRARY.name])
+    if compiler is not None:  # built or refused once: the next import only loads
+        assert run_import_probe(src, path)[:3] == [backend, "[]", "[]"]
+    if compiler not in ("cc", None):
+        assert (cache / _kernels_c.LIBRARY.name).read_bytes() == b"refused\n"
 
 
 def test_streaming_equals_brute_force(kernels=KERNELS):
@@ -264,8 +269,8 @@ def test_bucket_prefilter_keeps_ties_on_largest_radius(kernels=KERNELS):
 
 
 def test_band_edges_match_brute_force(kernels=KERNELS):
-    # the kernel measures only pairs whose first-coordinate term alone is
-    # within the largest bound; every case on or near that edge must
+    # the compiled walk skips a pair whose first-coordinate term alone
+    # exceeds the largest bound; every case on or near that edge must
     # count exactly as the full distance matrix does
     rng = np.random.default_rng(2077)
     cases = []
@@ -276,13 +281,13 @@ def test_band_edges_match_brute_force(kernels=KERNELS):
         edge = [(x, 0.0) for g in gaps for x in (g, -g)] + [(0.0, 0.0)] * 2
         cloud = rng.random((60, 2)) * 0.3
         cases.append((rng.permutation(np.concatenate([edge, cloud])), [0.0, 0.5 * top, top]))
-    # repeated points at radius 0: the band is the runs of equal first coordinates
+    # repeated points at radius 0: only equal first coordinates pass the first term
     cases.append((rng.integers(0, 3, size=(80, 2)).astype(float), [0.0]))
     # squared differences that underflow to 0 are within any radius
     tiny = np.array([[0.0, 0.0], [1e-180, 0.0], [0.0, 1e-180], [1.0, 0.0]])
     cases.append((tiny, [1e-200]))
     # a radius that covers every pair, and a constant first coordinate:
-    # in both the band is the whole triangle
+    # in both every pair passes the first term
     every = rng.random((70, 2))
     cases.append((every, [0.3, 2.0]))
     flat = np.column_stack([np.full(70, 0.7), rng.random(70)])
@@ -314,32 +319,22 @@ def test_band_edges_match_brute_force(kernels=KERNELS):
         assert brute_counts(pair, np.nextafter(math.sqrt(dim), 0.0)).tolist() == [0]
 
 
-@pytest.mark.parametrize("tile_pairs", [1, 2, 7, 64])
-def test_small_tiles_match_brute_force(monkeypatch, tile_pairs):
-    # at n <= 200 the default TILE_PAIRS puts every band of the three
-    # tests above in one tile; tiny tiles exercise one-row tiles, rows
-    # longer than a tile, ragged last tiles and the seams between tiles
-    monkeypatch.setattr(_kernels_py, "TILE_PAIRS", tile_pairs)
-    test_streaming_equals_brute_force([radius_bucket_counts])
-    test_bucket_prefilter_keeps_ties_on_largest_radius([radius_bucket_counts])
-    test_band_edges_match_brute_force([radius_bucket_counts])
-
-
 def test_default_tiles_match_brute_force():
-    # 600 points take several tiles at the default size; 2 and 3 take one
+    # the one brute-force case above 200 points, which the compiled walk
+    # deals out to its threads; 2 and 3 points hold one and three pairs
     rng = np.random.default_rng(4)
     for n in (2, 3, 600):
         lattice = rng.integers(0, 3, size=(n, 2)) * 0.5
         for pts, radii in ((rng.random((n, 2)), [0.05, 0.3]), (lattice, [0.5, 1.0])):
-            cumulative = np.cumsum(radius_bucket_counts(pts, np.array(radii)), axis=0)
-            for k, radius in enumerate(radii):
-                assert np.array_equal(cumulative[k], brute_counts(pts, radius))
+            for kernel in KERNELS:
+                cumulative = np.cumsum(kernel(pts, np.array(radii)), axis=0)
+                for k, radius in enumerate(radii):
+                    assert np.array_equal(cumulative[k], brute_counts(pts, radius))
 
 
 def test_tile_padding_is_never_within_a_radius():
-    # the largest finite radius covers every pair of finite points, but
-    # not the padding past the end of the trajectory that fills out the
-    # shorter diagonals of a tile
+    # the largest finite radius covers every pair of finite points: each
+    # is bucketed once, and no point past the end of the trajectory is read
     pts = np.random.default_rng(5).random((50, 2))
     for kernel in KERNELS:
         buckets = kernel(pts, np.array([0.5, np.finfo(np.float64).max]))
@@ -395,9 +390,8 @@ def test_counts_do_not_depend_on_thread_count(monkeypatch, cpus):
 
 def test_numpy_kernel_runs_in_the_calling_thread(monkeypatch):
     # the thread budget is the compiled kernel's alone: however many CPUs,
-    # the numpy kernel measures every tile in the thread that called it
+    # the numpy kernel measures every offset in the thread that called it
     monkeypatch.setattr(_kernels_c, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(_kernels_py, "TILE_PAIRS", 7)
     on_main = set()
 
     def spy(*args, work=_kernels_py.squared_sums):
@@ -410,6 +404,22 @@ def test_numpy_kernel_runs_in_the_calling_thread(monkeypatch):
     assert on_main == {True}
 
 
+def test_numpy_kernel_measures_every_pair_once(monkeypatch):
+    # the oracle shares none of the compiled walk's pruning: a direct
+    # numpy count forms one squared sum per pair, T(T - 1)/2 in all
+    sizes = []
+
+    def spy(*args, work=_kernels_py.squared_sums):
+        sums = work(*args)
+        sizes.append(sums.size)
+        return sums
+
+    monkeypatch.setattr(_kernels_py, "squared_sums", spy)
+    pts = np.random.default_rng(11).random((300, 2))
+    radius_bucket_counts(pts, np.array([0.05, 0.1]))
+    assert sum(sizes) == 300 * 299 // 2
+
+
 def test_kernel_leaves_no_thread_running(monkeypatch):
     # run_sweep's fork pool must never fork while kernel threads are live,
     # after a count and after a count that fails
@@ -419,8 +429,8 @@ def test_kernel_leaves_no_thread_running(monkeypatch):
     for kernel in KERNELS:
         kernel(pts, np.array([0.1, 0.3]))
         assert threading.active_count() == before
-    # every pair is in the band of its first coordinates, which the numpy
-    # kernel squares first; the second coordinate overflows only in the tiles
+    # every pair is within the radii in its first coordinate, and its
+    # second coordinate's squared difference overflows
     overflowing = pts * [0.1, 1e200]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -467,7 +477,7 @@ def test_degenerate_sweep_rows(r, start, period):
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_kernel_peak_memory_is_bounded(kernel, table2_trajectory):
     # table2's pass over a mean-field trajectory: the traced peak stays
-    # within a small multiple of the output (about 2.5 times for the numpy
+    # within a small multiple of the output (about 1.5 times for the numpy
     # kernel, 1.0 for the compiled one), which a histogram per thread
     # would break
     pts = table2_trajectory
