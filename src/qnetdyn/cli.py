@@ -58,7 +58,7 @@ def main(argv=None) -> int:
                 parser.error("run needs exactly one of <config> or --preset")
             cfg = load_preset(args.preset) if args.preset else load_config(args.config)
             if args.radius_list is not None:
-                radii = parse_radius_list(args.radius_list, "--radius-list")
+                radii = parse_radius_list(args.radius_list)
                 cfg = replace(cfg, recurrence_radii=radii)
             manifest = run_experiment(cfg, out_dir=args.out)
             print(f"wrote {manifest.directory / 'manifest.txt'}")
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         r_values = np.linspace(args.r_from, args.r_to, args.r_steps)
         radii = None
         if args.radius_list is not None:
-            radii = parse_radius_list(args.radius_list, "--radius-list")
+            radii = parse_radius_list(args.radius_list)
         path = run_sweep(cfg, r_values, args.out, workers=args.workers, radii=radii)
         print(f"wrote {path}")
         return 0

@@ -235,7 +235,7 @@ def _radius(value):
     check_radii([value])
 
 
-def _directory(value):
+def check_directory(value):  # also the rule for a run's out_dir
     if not value:
         raise ValueError("an output directory needs a name")
 
@@ -267,15 +267,15 @@ _KEYS = (
     ("analyses", "plot_radius", "plot_radius", float, _radius, "recurrence_plot"),
     ("analyses", "plot_window", "plot_window", int, partial(_at_least, 2), "recurrence_plot"),
     ("analyses", "plot_source", "plot_source", str, _source, "recurrence_plot"),
-    ("output", "directory", "out_directory", str, _directory, "out_directory"),
+    ("output", "directory", "out_directory", str, check_directory, "out_directory"),
 )
 
 
-def parse_radius_list(raw: str, label: str) -> tuple:
-    """Comma-separated radii that rqa.check_radii accepts, as Python
-    floats.  ``label`` names the source in error messages."""
-    radii = _check(label, _floats, raw)
-    _check(label, check_radii, radii)
+def parse_radius_list(raw: str) -> tuple:
+    """The radii of a ``--radius-list`` option: comma-separated values
+    that rqa.check_radii accepts, as Python floats."""
+    radii = _check("--radius-list", _floats, raw)
+    _check("--radius-list", check_radii, radii)
     return radii
 
 

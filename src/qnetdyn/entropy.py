@@ -1,12 +1,13 @@
 """Reduced-state entropy along network trajectories.
 
 Each neuron's reduced density follows from a partial trace of the pure
-network state; its von Neumann entropy (base 2, so bits) measures how
-entangled that neuron is with the rest of the network.  Collected per
-iteration this gives one entropy series per neuron, summarized by
-min/max/mean statistics.  A network of two neurons takes no
-partial trace: both reduced states share the Schmidt spectrum of the
-pure state, which has a closed form (Wootters, PRL 80 (1998) 2245).
+network state, whose length 2**n gives the neuron count n; its von
+Neumann entropy (base 2, so bits) measures how entangled that neuron is
+with the rest of the network.  Collected per iteration this gives one
+entropy series per neuron, summarized by min/max/mean statistics.  Two
+neurons take no partial trace: both reduced states share the Schmidt
+spectrum of the pure state, which has a closed form (Wootters, PRL 80
+(1998) 2245).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .linalg import (
     check_hermitian,
     hermitian_eigenvalues,
     partial_trace_keep_site,
+    site_count,
 )
 
 # Eigenvalues this far below 0 (or above 1) are rounding noise and clip
@@ -136,29 +138,25 @@ def schmidt_entropy(v: np.ndarray):
     return float(h) if v.ndim == 1 else h
 
 
-def site_entropies(v: np.ndarray, n: int) -> np.ndarray:
+def site_entropies(v: np.ndarray) -> np.ndarray:
     """Entropy of each neuron's reduced state: shape ``(n,)`` for one pure
-    state, ``(count, n)`` for a ``(count, 2**n)`` block of states.
+    ``(2**n,)`` state, ``(count, n)`` for a ``(count, 2**n)`` block.
 
     Two neurons take ``schmidt_entropy``, so both columns are bit-equal;
     other counts diagonalize each partial trace."""
     v = np.asarray(v)
+    n = site_count(v)
     if n == 2:
         h = np.asarray(schmidt_entropy(v))
         return np.stack([h, h], axis=-1)
     return np.stack(
-        [von_neumann_entropy(partial_trace_keep_site(v, k, n)) for k in range(n)], axis=-1
+        [von_neumann_entropy(partial_trace_keep_site(v, k)) for k in range(n)], axis=-1
     )
 
 
-def entropy_observer(n: int):
-    """Trajectory observer: maps a ``(count, 2**n)`` block of states to
-    its ``(count, n)`` per-neuron entropy rows."""
-
-    def observe(block: np.ndarray) -> np.ndarray:
-        return site_entropies(block, n)
-
-    return observe
+def entropy_observer():
+    """The trajectory observer of a run's entropy series: ``site_entropies``."""
+    return site_entropies
 
 
 def entropy_stats(series: np.ndarray) -> EntropyStats:

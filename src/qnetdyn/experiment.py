@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import time
@@ -28,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_directory
 from .entropy import check_entropy_range, entropy_observer, entropy_stats
 from .fields import activity_mean_field, check_activity_bounds
-from .network import QRNNParams, build_qrnn_map, run_trajectory
+from .network import QRNNParams, build_qrnn_map, qrnn_topology, run_trajectory
 from .rqa import _kernels_c
 from .rqa import (
     diagonal_profile,  # noqa: F401  unused; perfbench/layers.py wraps this attribute
@@ -46,21 +45,20 @@ from .spectral import power_spectrum
 
 __all__ = ["RunManifest", "run_experiment", "run_sweep"]
 
-N_NEURONS = 2
+N_NEURONS = qrnn_topology().n
 
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Run provenance: config echo, version, duration, output checksums."""
+    """Run provenance: version, config echo, duration, output checksums."""
 
-    version: str
     duration_seconds: float
     config_items: tuple
     checksums: dict
     directory: Path
 
     def write(self, path) -> None:
-        lines = [f"version = {self.version}"]
+        lines = [f"version = {__version__}"]
         lines.append(f"duration_seconds = {self.duration_seconds!r}")
         for key, value in self.config_items:
             lines.append(f"config.{key} = {value}")
@@ -179,9 +177,9 @@ def sample_times(cfg: ExperimentConfig) -> range:
 
 def _observer(name: str):
     if name == "mean-field":
-        return functools.partial(activity_mean_field, n=N_NEURONS)
+        return activity_mean_field
     if name == "entropy":
-        return entropy_observer(N_NEURONS)
+        return entropy_observer()
     return np.copy  # raw-state
 
 
@@ -261,7 +259,7 @@ def _analyses(cfg: ExperimentConfig):
         outputs.append(("spectrum.csv", write_spectrum_csv, spectra))
 
     if cfg.recurrence_plot:
-        image = render_recurrence_plot(data[cfg.plot_source], cfg.plot_radius, 0, cfg.plot_window)
+        image = render_recurrence_plot(data[cfg.plot_source][: cfg.plot_window], cfg.plot_radius)
         outputs.append(("recurrence_plot.pgm", write_pgm, image))
     return outputs
 
@@ -292,10 +290,14 @@ def _output_directory(directory: Path):
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     """Execute one configured run; write its outputs once every analysis succeeded."""
     t0 = time.perf_counter()
+    if out_dir is None:
+        out_dir = cfg.out_directory or "out"
+    check_directory(str(out_dir))
+    directory = Path(out_dir)
     outputs = _analyses(cfg)
-    directory = Path(out_dir if out_dir is not None else (cfg.out_directory or "out"))
     checksums = {}
     with _output_directory(directory) as begun:
+        begun.append(directory / "manifest.txt")  # first: no failed rerun keeps an old one
         for name, writer, *args in outputs:
             path = directory / name
             begun.append(path)
@@ -304,15 +306,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
             except Exception as exc:
                 raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
         manifest = RunManifest(
-            version=__version__,
             duration_seconds=time.perf_counter() - t0,
             config_items=tuple(cfg.echo_items()),
             checksums=checksums,
             directory=directory,
         )
-        path = directory / "manifest.txt"
-        begun.append(path)
-        manifest.write(path)
+        manifest.write(directory / "manifest.txt")
     manifest.verify()
     return manifest
 
@@ -341,8 +340,9 @@ def run_sweep(base: ExperimentConfig, r_values, out_dir, workers=1, radii=None) 
     from the one radius 0.1.  Rows appear in r_values order regardless
     of completion order; a failing row records its error and does not
     stop the sweep.  A base config or radii that no row could run on
-    raise before any row runs.
+    raise before any row runs, as does an empty ``out_dir``.
     """
+    check_directory(str(out_dir))
     if radii is None:
         radii = base.recurrence_radii or (0.1,)
     row_cfg = ExperimentConfig(

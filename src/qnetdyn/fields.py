@@ -5,7 +5,8 @@ operator at site k is the coefficient-weighted sum of the two level
 projectors there, padded with identities elsewhere.  The neural-activity
 field is the special case with coefficients (0, 1) over the firing basis,
 so its average at site k is neuron k's firing probability.  Collecting
-per-site averages along a trajectory embeds the dynamics in R^n.
+per-site averages along a trajectory embeds the dynamics in R^n; the
+neuron count n is read from the state's length, 2**n.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .linalg import (
     DimensionError,
     check_hermitian,
     identity,
+    site_count,
     tensor_chain,
 )
 from .network import UnitaryNeuralMap
@@ -91,16 +93,15 @@ def quantum_average(
     return raw.real
 
 
-def activity_mean_field(v: np.ndarray, n: int) -> np.ndarray:
+def activity_mean_field(v: np.ndarray) -> np.ndarray:
     """All n firing probabilities of a state as direct amplitude sums:
     neuron k's is the sum of the squared moduli of all components whose
     label has digit 1 at site k.
 
-    Shape ``(n,)`` for one state, ``(count, n)`` for a block of states.
+    Shape ``(n,)`` for one ``(2**n,)`` state, ``(count, n)`` for a block.
     """
     v = np.asarray(v)
-    if v.ndim not in (1, 2) or v.shape[-1] != 2**n:
-        raise DimensionError(f"state shape {v.shape} does not end in 2**{n}")
+    n = site_count(v)
     probs = v.real**2 + v.imag**2
     sites = [probs.reshape(-1, 2**k, 2, 2 ** (n - k - 1))[:, :, 1, :] for k in range(n)]
     fired = np.stack([f.sum(axis=(1, 2)) for f in sites], axis=-1)

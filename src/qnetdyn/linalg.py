@@ -4,7 +4,8 @@ State vectors and operators are plain ``numpy`` arrays of ``complex128``.
 The flat index convention is fixed globally: every site has two levels,
 and site 0 is the leftmost, most significant tensor factor, so a bit
 tuple ``(s0, ..., s_{n-1})`` maps to ``flat = sum_k s_k * 2**(n-1-k)``.
-Everything in the package inherits this convention.
+Everything in the package inherits this convention, and so a state's
+length, 2**n, gives its site count n: no function takes n beside a state.
 
 Validation helpers raise instead of repairing: a state that fails its norm
 check is a bug upstream, not something to renormalize silently.
@@ -89,9 +90,9 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-def projector(i: int, dim: int) -> np.ndarray:
-    """|i><i| on a ``dim``-dimensional site."""
-    m = np.zeros((dim, dim), dtype=np.complex128)
+def projector(i: int) -> np.ndarray:
+    """|i><i| on one two-level site."""
+    m = np.zeros((2, 2), dtype=np.complex128)
     m[i, i] = 1.0
     return m
 
@@ -135,17 +136,24 @@ def tensor_chain(factors) -> np.ndarray:
     return functools.reduce(np.kron, factors)
 
 
-def partial_trace_keep_site(v: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Reduced 2 x 2 density of site ``k`` of a pure ``n``-site state.
+def site_count(v: np.ndarray) -> int:
+    """The n >= 1 of a ``(2**n,)`` state or a ``(count, 2**n)`` block."""
+    n = v.shape[-1].bit_length() - 1 if v.ndim in (1, 2) else 0
+    if n < 1 or v.shape[-1] != 2**n:
+        raise DimensionError(f"state shape {v.shape} is not (2**n,) or (count, 2**n), n >= 1")
+    return n
+
+
+def partial_trace_keep_site(v: np.ndarray, k: int) -> np.ndarray:
+    """Reduced 2 x 2 density of site ``k`` of a pure state.
 
     A state of shape ``(2**n,)`` gives one ``(2, 2)`` density; a
     ``(count, 2**n)`` block of states gives a ``(count, 2, 2)`` stack.
     """
+    arr = np.asarray(v, dtype=np.complex128)
+    n = site_count(arr)
     if not 0 <= k < n:
         raise ValueError(f"site index {k} outside [0, {n})")
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != 2**n:
-        raise DimensionError(f"state shape {arr.shape} is not (2**{n},) or (count, 2**{n})")
     m = arr.reshape(-1, 2**k, 2, 2 ** (n - k - 1))
     return np.einsum("cxay,cxby->cab", m, m.conj()).reshape(arr.shape[:-1] + (2, 2))
 

@@ -137,7 +137,7 @@ def build_conditional_gate(topo: NetworkTopology, target: int, table: Mapping) -
             if site == target:
                 factors.append(table[pattern])
             elif site in inputs:
-                factors.append(projector(pattern[inputs.index(site)], 2))
+                factors.append(projector(pattern[inputs.index(site)]))
             else:
                 factors.append(identity(2))
         gate += tensor_chain(factors)

@@ -6,6 +6,8 @@ periodic orbits produce fully recurrent diagonals instead of losing ties
 to rounding.  One pass over the pairs, offset by offset, gives every
 profile, and no T x T matrix is built; only the compiled walk skips the
 pairs whose first coordinates alone lie farther apart than the largest radius.
+A profile's length is one more than its count of offsets, and the plot
+renders the whole trajectory it is given.
 """
 
 from __future__ import annotations
@@ -65,27 +67,25 @@ def check_radii(radii):
 class DiagonalProfile:
     """Recurrence counts for every sub-main diagonal of one trajectory.
 
-    counts[j] is the number of recurrent pairs (t, t + j + 1); offset
-    d = j + 1 runs over 1..length-1 and offset d has length - d pairs.
+    counts[j] is the number of recurrent pairs (t, t + j + 1) of a trajectory
+    of ``length = counts.size + 1``: offset d = j + 1 has length - d pairs.
     """
 
-    length: int
     radius: float
     counts: np.ndarray
 
     def __post_init__(self):
-        if self.length < 2:
-            raise ValueError("profile needs a trajectory of length >= 2")
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (self.length - 1,):
-            raise ValueError(
-                f"counts shape {counts.shape} does not match length {self.length}"
-            )
-        totals = self.length - np.arange(1, self.length)
-        if np.any(counts < 0) or np.any(counts > totals):
+        if counts.ndim != 1 or counts.size == 0:
+            raise ValueError(f"need one dimension and at least one count, got {counts.shape}")
+        object.__setattr__(self, "counts", counts)
+        if np.any(counts < 0) or np.any(counts > self.pair_totals()):
             raise ValueError("diagonal counts out of range")
         counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
+
+    @property
+    def length(self) -> int:
+        return self.counts.size + 1
 
     def offsets(self):
         return np.arange(1, self.length)
@@ -178,10 +178,7 @@ def diagonal_profiles(traj, radii):
     rad = check_radii(radii)
     buckets = radius_bucket_counts(pts, rad)
     counts = np.cumsum(buckets, axis=0)
-    return [
-        DiagonalProfile(pts.shape[0], float(rad[k]), counts[k])
-        for k in range(rad.size)
-    ]
+    return [DiagonalProfile(float(rad[k]), counts[k]) for k in range(rad.size)]
 
 
 def diagonal_profile(traj, radius):
@@ -250,24 +247,19 @@ def pearson_correlation(x, y):
     return float(np.dot(xc, yc) / math.sqrt(vx * vy))
 
 
-def render_recurrence_plot(traj, radius, start, stop):
-    """Rasterize a square viewport of the recurrence matrix.
+def render_recurrence_plot(traj, radius):
+    """Rasterize the recurrence matrix of the whole trajectory given.
 
     Pixel value 0 (black) marks a recurrent pair, 255 white; row t' is
     rendered top-down.  Work proceeds in chunks of PLOT_CHUNK_ROWS rows
-    so memory stays O(PLOT_CHUNK_ROWS * viewport) instead of the full
-    square.
+    so memory stays O(PLOT_CHUNK_ROWS * T) instead of the full square.
     """
     radius = check_radii([radius])[0]
     pts = _as_points(traj)
-    n_time = pts.shape[0]
-    if not 0 <= start < stop <= n_time:
-        raise ValueError(f"viewport [{start}, {stop}) outside trajectory of {n_time}")
     bound = squared_bounds([radius])[0]
-    window = np.ascontiguousarray(pts[start:stop].T)  # one row per coordinate
-    width = stop - start
-    image = np.empty((width, width), dtype=np.uint8)
-    for row0 in range(0, width, PLOT_CHUNK_ROWS):
+    window = np.ascontiguousarray(pts.T)  # one row per coordinate
+    image = np.empty((len(pts), len(pts)), dtype=np.uint8)
+    for row0 in range(0, len(pts), PLOT_CHUNK_ROWS):
         rows = window[:, row0 : row0 + PLOT_CHUNK_ROWS, None]
         black = squared_sums(rows, window[:, None]) <= bound
         image[row0 : row0 + rows.shape[1]] = np.where(black, 0, 255)

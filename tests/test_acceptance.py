@@ -74,25 +74,21 @@ def _run(r, state, samples, observers, transient=10001):
     return [np.asarray(series) for series in recorded]
 
 
-def _mf_observer(v):
-    return activity_mean_field(v, 2)
-
-
 @pytest.fixture(scope="module")
 def entropy_r0005():
-    (ent,) = _run(0.0005, PLUS_PLUS, 30000, [entropy_observer(2)])
+    (ent,) = _run(0.0005, PLUS_PLUS, 30000, [entropy_observer()])
     return ent
 
 
 @pytest.fixture(scope="module")
 def run_aperiodic():
-    mf, ent = _run(R_APERIODIC, PLUS_PLUS, 30000, [_mf_observer, entropy_observer(2)])
+    mf, ent = _run(R_APERIODIC, PLUS_PLUS, 30000, [activity_mean_field, entropy_observer()])
     return mf, ent
 
 
 @pytest.fixture(scope="module")
 def run_near_cycle():
-    mf, ent = _run(R_NEAR_CYCLE, PLUS_PLUS, 30000, [_mf_observer, entropy_observer(2)])
+    mf, ent = _run(R_NEAR_CYCLE, PLUS_PLUS, 30000, [activity_mean_field, entropy_observer()])
     return mf, ent
 
 
@@ -108,9 +104,9 @@ def test_fixed_point_regime():
     state_dev = activity_dev = 0.0
     for _ in range(20):
         v0 = _random_state(rng)
-        a0 = activity_mean_field(v0, 2)
+        a0 = activity_mean_field(v0)
         # applications 1..1000
-        states, acts = run_trajectory(map_, v0, 1, 1000, [np.copy, _mf_observer])
+        states, acts = run_trajectory(map_, v0, 1, 1000, [np.copy, activity_mean_field])
         state_dev = max(state_dev, float(np.abs(states - v0).max()))
         activity_dev = max(activity_dev, float(np.abs(acts - a0).max()))
     elapsed = time.perf_counter() - t0
@@ -132,7 +128,7 @@ def test_three_cycle_regime():
     for _ in range(20):
         v = _random_state(rng)
         # applications 0..1003
-        states, acts = run_trajectory(map_, v, 0, 1004, [np.copy, _mf_observer])
+        states, acts = run_trajectory(map_, v, 0, 1004, [np.copy, activity_mean_field])
         diffs = np.linalg.norm(states[3:1004] - states[0:1001], axis=1)
         state_dev = max(state_dev, float(diffs.max()))
         activity_dev = max(
@@ -151,7 +147,7 @@ def test_three_cycle_regime():
 
 def test_uniform_start_correlation():
     t0 = time.perf_counter()
-    (mf,) = _run(0.0005, PLUS_PLUS, 20000, [_mf_observer])
+    (mf,) = _run(0.0005, PLUS_PLUS, 20000, [activity_mean_field])
     corr = pearson_correlation(mf[:, 0], mf[:, 1])
     elapsed = time.perf_counter() - t0
     target, tol = 0.99999977, 1e-6
@@ -173,7 +169,7 @@ def test_uniform_start_correlation():
 def test_basis_start_correlation(digits, target):
     v0 = np.zeros(4, dtype=complex)
     v0[int(digits, 2)] = 1.0
-    (mf,) = _run(0.0005, v0, 20000, [_mf_observer])
+    (mf,) = _run(0.0005, v0, 20000, [activity_mean_field])
     corr = pearson_correlation(mf[:, 0], mf[:, 1])
     dev = abs(corr - target)
     ok = dev <= 1e-5

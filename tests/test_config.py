@@ -328,15 +328,15 @@ def test_key_of_an_analysis_that_is_off_is_an_error(key, value, switch):
 def test_radii_must_ascend():
     good = MINIMAL + "\n[analyses]\nobservers = mean-field\nrecurrence_radii = 0, 0.01, 0.1\n"
     assert parse_config(good).recurrence_radii == (0.0, 0.01, 0.1)
-    assert parse_radius_list(" 0,0.01, 0.1 ", "label") == (0.0, 0.01, 0.1)
+    assert parse_radius_list(" 0,0.01, 0.1 ") == (0.0, 0.01, 0.1)
     with pytest.raises(ConfigError):
         parse_config(good.replace("0, 0.01, 0.1", "0.1, 0.01"))
     with pytest.raises(ConfigError):
         parse_config(good.replace("0, 0.01, 0.1", "-0.1, 0.01"))
     # the grammar qnetdyn run --radius-list shares (tests/test_experiment.py)
     for raw in ("", "a", "0.2,0.1", "0.1,0.1", "-1", "nan", "inf"):
-        with pytest.raises(ConfigError, match="^label: "):
-            parse_radius_list(raw, "label")
+        with pytest.raises(ConfigError, match="^--radius-list: "):
+            parse_radius_list(raw)
         with pytest.raises(ConfigError, match="recurrence_radii"):
             parse_config(good.replace("0, 0.01, 0.1", raw))
 
@@ -401,7 +401,7 @@ def test_radius_edges_agree_with_check_radii(radius, accepted):
     for setting in ("line_gap_radius", plot_on, "recurrence_radii"):
         text = ANALYSES + f"{setting} = {radius!r}\n"
         assert _accepts(parse_config, text) == accepted, setting
-    assert _accepts(parse_radius_list, repr(radius), "label") == accepted
+    assert _accepts(parse_radius_list, repr(radius)) == accepted
 
 
 @pytest.mark.parametrize(

@@ -105,7 +105,7 @@ def test_entropy_matches_closed_form_on_random_densities():
     rng = np.random.default_rng(41)
     for _ in range(100):
         psi = random_state(rng, 4)
-        rho = linalg.partial_trace_keep_site(psi, 0, 2)
+        rho = linalg.partial_trace_keep_site(psi, 0)
         assert abs(von_neumann_entropy(rho) - two_by_two_density_entropy(rho)) < 1e-10
 
 
@@ -159,9 +159,9 @@ def test_batched_entropy_validation_names_the_failing_member():
 
 
 def test_site_entropies_product_and_bell():
-    assert np.max(site_entropies(linalg.uniform_state(2), 2)) < 1e-12
+    assert np.max(site_entropies(linalg.uniform_state(2))) < 1e-12
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    assert np.max(np.abs(site_entropies(bell, 2) - 1.0)) < 1e-12
+    assert np.max(np.abs(site_entropies(bell) - 1.0)) < 1e-12
 
 
 def test_site_entropies_of_a_block_equal_per_state_rows():
@@ -169,9 +169,9 @@ def test_site_entropies_of_a_block_equal_per_state_rows():
     for n in (2, 3, 4):
         # a square block (count == dim) must not be read as a density
         block = np.array([random_state(rng, 2**n) for _ in range(2**n)])
-        rows = np.array([site_entropies(v, n) for v in block])
-        assert site_entropies(block, n).tobytes() == rows.tobytes()
-        assert entropy_observer(n)(block).shape == (2**n, n)
+        rows = np.array([site_entropies(v) for v in block])
+        assert site_entropies(block).tobytes() == rows.tobytes()
+        assert entropy_observer()(block).shape == (2**n, n)
 
 
 def decimal_schmidt_entropy(v):
@@ -231,7 +231,7 @@ def test_schmidt_entropy_matches_decimal_and_eigvalsh_oracles(kind):
     assert np.max(np.abs(got - want)) < SCHMIDT_DECIMAL_TOL
     eig = np.array([eigvalsh_entropies(v) for v in block])
     assert np.max(np.abs(got[:, None] - eig)) < SCHMIDT_EIGVALSH_TOL
-    rows = site_entropies(block, 2)
+    rows = site_entropies(block)
     assert np.array_equal(rows, np.stack([got, got], axis=1))
     sq = np.abs(block) ** 2
     n = sq.sum(axis=1)
@@ -263,7 +263,7 @@ def test_schmidt_entropy_rejects_nan_state():
 def test_two_party_entropies_agree_along_trajectory():
     m = build_qrnn_map(QRNNParams(0.47))
     (rows,) = run_trajectory(
-        m, linalg.uniform_state(2), transient=25, samples=300, observers=[entropy_observer(2)]
+        m, linalg.uniform_state(2), transient=25, samples=300, observers=[entropy_observer()]
     )
     series = np.asarray(rows)
     assert np.max(np.abs(series[:, 0] - series[:, 1])) < 1e-9
@@ -285,7 +285,7 @@ def test_global_purity_is_conserved():
 def test_three_site_entropy_bounds():
     rng = np.random.default_rng(42)
     for _ in range(20):
-        s = site_entropies(random_state(rng, 8), 3)
+        s = site_entropies(random_state(rng, 8))
         assert np.all(s >= 0.0)
         assert np.all(s <= 1.0 + 1e-9)
 

@@ -94,7 +94,7 @@ def test_series_time_base_and_values(tmp_path):
     v = run_trajectory(map_, parse_config(FULL).initial_state, 4, 1, [np.copy])[0][0]
     from qnetdyn.fields import activity_mean_field
 
-    expected = activity_mean_field(v, 2)
+    expected = activity_mean_field(v)
     assert float(rows[0][1]) == pytest.approx(expected[0], abs=1e-15)
     assert float(rows[0][2]) == pytest.approx(expected[1], abs=1e-15)
 
@@ -208,8 +208,8 @@ def test_failed_run_creates_no_directory(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "observer, attribute, fake",
     [
-        ("entropy", "entropy_observer", lambda n: lambda block: np.full((len(block), n), 1.5)),
-        ("mean-field", "activity_mean_field", lambda v, n: np.full((len(v), n), -0.5)),
+        ("entropy", "entropy_observer", lambda: lambda block: np.full((len(block), 2), 1.5)),
+        ("mean-field", "activity_mean_field", lambda v: np.full((len(v), 2), -0.5)),
     ],
 )
 def test_recorded_series_is_range_checked_without_a_reader(
@@ -279,6 +279,21 @@ def test_failed_write_leaves_no_partial_outputs(tmp_path, monkeypatch):
         run_sweep(base, [0.2, 0.6], existing)
     assert [p.name for p in existing.iterdir()] == ["notes.txt"]
     assert (existing / "notes.txt").read_text() == "kept"
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    # a rerun into an earlier run's directory removes every file it began;
+    # the manifest is begun first, so none is left naming removed files
+    cfg = load_preset("figure3")
+    run_experiment(cfg, out_dir=tmp_path)
+
+    def broken_csv(path, header, rows):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment, "_write_csv", broken_csv)
+    with pytest.raises(RuntimeError, match="entropy_stats.csv.*disk full"):
+        run_experiment(cfg, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_mkdir_removes_the_levels_it_made(tmp_path):
@@ -601,6 +616,26 @@ def test_cli_sweep(tmp_path):
     cfg_path.write_text(FULL.split("[analyses]")[0].replace("samples = 60", "samples = 1"))
     assert main(sweep + ["--out", str(tmp_path / "one")]) == 1
     assert not (tmp_path / "one").exists()
+
+
+def test_cli_refuses_an_empty_output_path(tmp_path, monkeypatch, capsys):
+    # --out "" names the current directory; like [output] directory = ,
+    # it is refused before any state is iterated, and nothing is written
+    cfg_path = tmp_path / "base.cfg"
+    cfg_path.write_text(FULL.replace("samples = 60", "samples = 32"))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+
+    def iterate(*args):
+        raise AssertionError("a state was iterated")
+
+    monkeypatch.setattr(experiment, "run_trajectory", iterate)
+    assert main(["run", "--preset", "figure1", "--out", ""]) == 1
+    sweep = ["sweep", str(cfg_path), "--r-from", "0", "--r-to", "1", "--r-steps", "2"]
+    assert main(sweep + ["--out", ""]) == 1
+    assert capsys.readouterr().err.count("an output directory needs a name") == 2
+    assert list(cwd.iterdir()) == []
 
 
 def test_cli_sweep_keeps_the_base_radii_and_source(tmp_path):

@@ -128,11 +128,11 @@ def test_amplitude_sum_matches_operator_path():
     for n in (1, 2, 3):
         for _ in range(25):
             v = random_state(rng, 2**n)
-            fast = activity_mean_field(v, n)
+            fast = activity_mean_field(v)
             slow = operator_mean_field(v, n)
             assert np.max(np.abs(fast - slow)) < 1e-12
             for k in range(n):
-                assert abs(activity_mean_field(v, n)[k] - slow[k]) < 1e-12
+                assert abs(activity_mean_field(v)[k] - slow[k]) < 1e-12
 
 
 def test_mean_field_of_a_block_equals_per_state_rows():
@@ -140,23 +140,25 @@ def test_mean_field_of_a_block_equals_per_state_rows():
     for n in (1, 2, 3):
         for count in (0, 1, 2**n, 9):
             block = np.array([random_state(rng, 2**n) for _ in range(count)]).reshape(count, 2**n)
-            rows = np.array([activity_mean_field(v, n) for v in block]).reshape(count, n)
-            got = activity_mean_field(block, n)
+            rows = np.array([activity_mean_field(v) for v in block]).reshape(count, n)
+            got = activity_mean_field(block)
             assert got.shape == (count, n)
             assert got.tobytes() == rows.tobytes()
             for state, row in zip(block, got):
                 assert np.max(np.abs(operator_mean_field(state, n) - row)) < 1e-12
-    with pytest.raises(linalg.DimensionError):
-        activity_mean_field(np.zeros((3, 8)), 2)
+    # a length that is not 2**n with n >= 1
+    for bad in (np.zeros((3, 6)), np.zeros(1)):
+        with pytest.raises(linalg.DimensionError):
+            activity_mean_field(bad)
 
 
 def test_mean_field_examples():
-    for mean_field in (activity_mean_field, operator_mean_field):
-        assert np.array_equal(mean_field(linalg.basis_state((1, 1)), 2), [1.0, 1.0])
-        assert np.allclose(mean_field(linalg.uniform_state(2), 2), [0.5, 0.5], atol=1e-15)
+    for mean_field in (activity_mean_field, lambda v: operator_mean_field(v, 2)):
+        assert np.array_equal(mean_field(linalg.basis_state((1, 1))), [1.0, 1.0])
+        assert np.allclose(mean_field(linalg.uniform_state(2)), [0.5, 0.5], atol=1e-15)
         m = build_qrnn_map(QRNNParams(1.0))
         stepped = run_trajectory(m, linalg.uniform_state(2), 1, 1, [np.copy])[0][0]
-        assert np.allclose(mean_field(stepped, 2), [0.5, 0.5], atol=1e-12)
+        assert np.allclose(mean_field(stepped), [0.5, 0.5], atol=1e-12)
 
 
 def test_trajectory_activity_stays_bounded():
@@ -166,7 +168,7 @@ def test_trajectory_activity_stays_bounded():
         linalg.uniform_state(2),
         transient=50,
         samples=400,
-        observers=[lambda v: activity_mean_field(v, 2)],
+        observers=[activity_mean_field],
     )
     assert check_activity_bounds(points).shape == (400, 2)
 

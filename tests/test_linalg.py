@@ -206,14 +206,14 @@ def test_partial_trace_product_state():
     single = np.array([0.6, 0.8j])
     other = np.array([1.0, 0.0])
     psi = np.kron(single, other)
-    rho = linalg.partial_trace_keep_site(psi, 0, 2)
+    rho = linalg.partial_trace_keep_site(psi, 0)
     assert np.allclose(rho, np.outer(single, single.conj()), atol=1e-15)
 
 
 def test_partial_trace_bell_state():
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     for site in (0, 1):
-        rho = linalg.partial_trace_keep_site(bell, site, 2)
+        rho = linalg.partial_trace_keep_site(bell, site)
         assert np.allclose(rho, 0.5 * np.eye(2), atol=1e-15)
 
 
@@ -223,7 +223,7 @@ def test_partial_trace_matches_loop_oracle():
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         psi /= np.linalg.norm(psi)
         for k in range(n):
-            fast = linalg.partial_trace_keep_site(psi, k, n)
+            fast = linalg.partial_trace_keep_site(psi, k)
             slow = reduced_by_loops(psi, k, n)
             assert np.max(np.abs(fast - slow)) < 1e-14
             assert abs(np.trace(fast).real - 1.0) < 1e-12
@@ -237,19 +237,19 @@ def test_partial_trace_of_a_block_equals_per_state_traces():
             block = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
             block /= np.linalg.norm(block, axis=1, keepdims=True)
             for k in range(n):
-                got = linalg.partial_trace_keep_site(block, k, n)
+                got = linalg.partial_trace_keep_site(block, k)
                 assert got.shape == (count, 2, 2)
                 for rho, psi in zip(got, block):
-                    assert rho.tobytes() == linalg.partial_trace_keep_site(psi, k, n).tobytes()
-    with pytest.raises(linalg.DimensionError):
-        linalg.partial_trace_keep_site(np.zeros((3, 8)), 0, 2)
-    with pytest.raises(linalg.DimensionError):
-        linalg.partial_trace_keep_site(np.zeros((2, 3, 4)), 0, 2)
+                    assert rho.tobytes() == linalg.partial_trace_keep_site(psi, k).tobytes()
+    # a length that is not 2**n with n >= 1, or a block of blocks
+    for bad in (np.zeros((3, 6)), np.zeros(1), np.zeros((2, 3, 4))):
+        with pytest.raises(linalg.DimensionError):
+            linalg.partial_trace_keep_site(bad, 0)
 
 
 def test_partial_trace_rejects_bad_site():
     with pytest.raises(ValueError):
-        linalg.partial_trace_keep_site(np.zeros(4), 2, 2)
+        linalg.partial_trace_keep_site(np.zeros(4), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def test_eigenvalues_reduced_density_spectrum():
     for _ in range(50):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        rho = linalg.partial_trace_keep_site(psi, 0, 2)
+        rho = linalg.partial_trace_keep_site(psi, 0)
         lam = linalg.hermitian_eigenvalues(rho)
         assert abs(lam.sum() - 1.0) < 1e-12
         assert np.max(np.abs(lam - two_by_two_eigenvalues(rho))) < 1e-13

@@ -6,7 +6,7 @@ streaming profile must match it exactly, not just within tolerance.  The
 numpy kernel and the compiled one face the same oracles.
 """
 
-import functools
+import ctypes
 import hashlib
 import math
 import os
@@ -52,7 +52,6 @@ KERNELS = [_kernels_py.radius_bucket_counts] + [
     count for count in [_kernels_c.radius_bucket_counts] if count is not None
 ]
 KERNEL_IDS = ["python", "c"][: len(KERNELS)]
-mean_field = functools.partial(activity_mean_field, n=2)
 
 
 def profiles_by(kernel, pts, radii):
@@ -66,7 +65,7 @@ def profiles_by(kernel, pts, radii):
 def table2_trajectory():
     """Table 2's mean-field trajectory: 20,000 samples at the aperiodic r."""
     qrnn = build_qrnn_map(QRNNParams(R_APERIODIC))
-    (pts,) = run_trajectory(qrnn, PLUS_PLUS, 10001, 20000, [mean_field])
+    (pts,) = run_trajectory(qrnn, PLUS_PLUS, 10001, 20000, [activity_mean_field])
     return pts
 
 
@@ -124,9 +123,10 @@ def test_profile_rejects_degenerate_input():
 
 def test_profile_validation_bounds():
     with pytest.raises(ValueError):
-        DiagonalProfile(4, 0.1, np.array([4, 1, 0]))  # offset 1 has only 3 pairs
-    with pytest.raises(ValueError):
-        DiagonalProfile(4, 0.1, np.array([1, 1]))  # wrong shape
+        DiagonalProfile(0.1, np.array([4, 1, 0]))  # offset 1 has only 3 pairs
+    for counts in (np.array([[1, 1]]), np.array([], dtype=np.int64)):  # 2-D, or empty
+        with pytest.raises(ValueError):
+            DiagonalProfile(0.1, counts)
 
 
 def test_compiled_kernel_is_loaded_where_a_compiler_exists():
@@ -255,7 +255,10 @@ def test_streaming_zero_radius_brute_force():
 
 def test_bucket_prefilter_keeps_ties_on_largest_radius(kernels=KERNELS):
     # lattice points put many pair distances exactly on the largest
-    # radius, where the prefilter drops pairs before bucketing them
+    # radius.  Their squared sums are whole numbers: equal to the squared
+    # bound of sqrt(3), one ulp below those of 1, sqrt(2) and 2.  No first
+    # term alone reaches a bound, so these ties check the full-sum test and
+    # the bucketing, not the first-term prefilter (the band edges do that)
     rng = np.random.default_rng(61)
     for dim, top in ((1, 1.0), (2, math.sqrt(2.0)), (3, math.sqrt(3.0)), (2, 2.0)):
         pts = rng.integers(0, 3, size=(120, dim)).astype(float)
@@ -388,6 +391,58 @@ def test_counts_do_not_depend_on_thread_count(monkeypatch, cpus):
     assert (False in on_main) == (cpus > 1)
 
 
+# one-token mutants of the compiled walk: the (n+1)th occurrence of a
+# comparison made strict, so a pair exactly on a bound is dropped
+WALK_MUTANTS = {
+    "strict-prefilter": ("if (!(acc <= top))", 0),
+    "strict-full-sum": ("if (!(acc <= top))", 1),
+    "strict-scan": ("while (!(acc <= bounds[k]))", 0),
+}
+
+
+def _padded(walk):
+    """``walk`` over one more bound, +inf, and one spare histogram row: a
+    scan that runs past the last bound then stays inside its arrays."""
+
+    def padded(x, n, dim, bounds, r, first, step, out):
+        given = np.ctypeslib.as_array(ctypes.cast(bounds, ctypes.POINTER(ctypes.c_double)), (r,))
+        spare_bounds = np.append(given, np.inf)
+        spare_out = np.zeros((r + 1, n), dtype=np.int64)
+        walk(x, n, dim, spare_bounds.ctypes.data, r, first, step, spare_out.ctypes.data)
+        own = np.ctypeslib.as_array(ctypes.cast(out, ctypes.POINTER(ctypes.c_int64)), (r, n))
+        own[:, first::step] = spare_out[:r, first::step]  # this call's offsets only
+
+    return padded
+
+
+@pytest.mark.parametrize("mutant", sorted(WALK_MUTANTS))
+def test_oracles_catch_a_broken_compiled_walk(tmp_path, monkeypatch, mutant):
+    # the brute-force oracles must fail a walk that loses the closed threshold
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler here")
+    token, nth = WALK_MUTANTS[mutant]
+    parts = _kernels_c.SOURCE.read_text().split(token)
+    assert len(parts) > nth + 1
+    source = tmp_path / "mutant.c"
+    source.write_text(
+        token.join(parts[: nth + 1]) + token.replace("<=", "<") + token.join(parts[nth + 1 :])
+    )
+    library = tmp_path / "mutant.so"
+    cmd = ["cc", *_kernels_c.CFLAGS, "-o", str(library), str(source)]
+    subprocess.run(cmd, check=True, capture_output=True, timeout=120)
+    walk = ctypes.CDLL(str(library)).radius_bucket_counts
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    walk.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, ptr]
+    walk.restype = None
+    kernel = [_kernels_c._radius_bucket_counts]
+    monkeypatch.setattr(_kernels_c, "_walk", _padded(_kernels_c._walk))
+    test_band_edges_match_brute_force(kernel)  # the padding alone moves no count
+    monkeypatch.setattr(_kernels_c, "_walk", _padded(walk))
+    for oracle in (test_band_edges_match_brute_force, test_streaming_equals_brute_force):
+        with pytest.raises(AssertionError):
+            oracle(kernel)
+
+
 def test_numpy_kernel_runs_in_the_calling_thread(monkeypatch):
     # the thread budget is the compiled kernel's alone: however many CPUs,
     # the numpy kernel measures every offset in the thread that called it
@@ -464,7 +519,7 @@ def test_degenerate_sweep_rows(r, start, period):
     # the ends of a sweep over r: at r = 0 the map fixes every state, so
     # every pair recurs; at r = 1 the mean field cycles with period 3
     qrnn = build_qrnn_map(QRNNParams(r))
-    (pts,) = run_trajectory(qrnn, initial_state_vector(start), 100, 300, [mean_field])
+    (pts,) = run_trajectory(qrnn, initial_state_vector(start), 100, 300, [activity_mean_field])
     for kernel in KERNELS:
         profiles = profiles_by(kernel, pts, [0.0, 0.01, 0.1])
         for prof in profiles:
@@ -576,7 +631,8 @@ def test_stats_no_recurrence():
 
 def test_stats_hand_profile():
     # T=4: offsets 1,2,3 have 3,2,1 pairs; counts 3,1,0
-    prof = DiagonalProfile(4, 0.2, np.array([3, 1, 0]))
+    prof = DiagonalProfile(0.2, np.array([3, 1, 0]))
+    assert prof.length == 4
     stats = recurrence_stats(prof)
     assert abs(stats.recurrence_probability - 2.0 / 3.0) < 1e-15
     assert abs(stats.mean_recurrence_strength - 0.75) < 1e-15  # (1 + 1/2) / 2
@@ -639,7 +695,7 @@ def test_pearson_examples():
 
 
 def test_render_constant_all_black():
-    img = render_recurrence_plot(np.zeros((20, 2)), 0.5, 0, 20)
+    img = render_recurrence_plot(np.zeros((20, 2)), 0.5)
     assert img.shape == (20, 20)
     assert img.dtype == np.uint8
     assert np.all(img == 0)
@@ -647,7 +703,7 @@ def test_render_constant_all_black():
 
 def test_render_zero_radius_diagonal_only():
     pts = np.arange(12.0)
-    img = render_recurrence_plot(pts, 0.0, 0, 12)
+    img = render_recurrence_plot(pts, 0.0)
     assert np.all(np.diag(img) == 0)
     off = img[~np.eye(12, dtype=bool)]
     assert np.all(off == 255)
@@ -656,16 +712,17 @@ def test_render_zero_radius_diagonal_only():
 def test_render_symmetry_and_chunking(monkeypatch):
     rng = np.random.default_rng(99)
     pts = rng.random((150, 2))
-    img = render_recurrence_plot(pts, 0.25, 10, 140)
+    img = render_recurrence_plot(pts[10:140], 0.25)
     assert img.shape == (130, 130)
     assert np.array_equal(img, img.T)
+    # a window's plot is the window of the whole plot
+    assert np.array_equal(img, render_recurrence_plot(pts, 0.25)[10:140, 10:140])
     monkeypatch.setattr(core, "PLOT_CHUNK_ROWS", 7)
-    chunked = render_recurrence_plot(pts, 0.25, 10, 140)
+    chunked = render_recurrence_plot(pts[10:140], 0.25)
     assert np.array_equal(img, chunked)
-    with pytest.raises(ValueError):
-        render_recurrence_plot(pts, 0.25, 10, 10)
-    with pytest.raises(ValueError):
-        render_recurrence_plot(pts, 0.25, 0, 151)
+    for window in (pts[10:10], pts[10:11]):  # fewer than two samples
+        with pytest.raises(ValueError):
+            render_recurrence_plot(window, 0.25)
 
 
 def test_plot_matches_profile_at_closed_threshold(monkeypatch):
@@ -678,7 +735,7 @@ def test_plot_matches_profile_at_closed_threshold(monkeypatch):
         pts = np.cumsum(rng.integers(-1, 2, size=(300, dim)), axis=0).astype(float)
         for radius in (0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0):
             counts = diagonal_profile(pts, radius).counts
-            img = render_recurrence_plot(pts, radius, 0, len(pts))
+            img = render_recurrence_plot(pts, radius)
             black = [int(np.count_nonzero(np.diag(img, d) == 0)) for d in range(1, len(pts))]
             assert black == counts.tolist()
         on_radius = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)) == 1.0
